@@ -243,7 +243,8 @@ let stats_cmd =
 let trace_cmd =
   let run loss bytes =
     let engine = Sim.Engine.create ~seed:2 () in
-    let trace = Sim.Trace.create () in
+    let tracer = Sim.Tracer.create () in
+    let ins = Sublayer.Instrument.v ~tracer () in
     let to_a = ref (fun (_ : Bitkit.Slice.t) -> ()) in
     let to_b = ref (fun (_ : Bitkit.Slice.t) -> ()) in
     let ch dir =
@@ -254,13 +255,13 @@ let trace_cmd =
     let ab = ch to_b and ba = ch to_a in
     let received = Buffer.create 1024 in
     let a =
-      Transport.Tcp_sublayered.create engine ~trace ~name:"client"
+      Transport.Tcp_sublayered.create engine ~ins ~name:"client"
         Transport.Config.default ~local_port:1000 ~remote_port:80
         ~transmit:(fun s -> Sim.Channel.send ab s)
         ~events:(fun _ -> ())
     in
     let b =
-      Transport.Tcp_sublayered.create engine ~trace ~name:"server"
+      Transport.Tcp_sublayered.create engine ~ins ~name:"server"
         Transport.Config.default ~local_port:80 ~remote_port:1000
         ~transmit:(fun s -> Sim.Channel.send ba s)
         ~events:(function
@@ -274,14 +275,22 @@ let trace_cmd =
     Transport.Tcp_sublayered.write a (random_data 2 bytes);
     Transport.Tcp_sublayered.close a;
     Sim.Engine.run ~until:60. engine;
-    Printf.printf "transfer of %d bytes complete (received %d); sublayer trace:\n\n"
-      bytes (Buffer.length received);
-    Format.printf "%a" Sim.Trace.pp trace
+    let got = Buffer.length received in
+    if got = bytes then Printf.printf "transfer complete: %d bytes received\n" got
+    else Printf.printf "TRANSFER INCOMPLETE: %d of %d bytes received\n" got bytes;
+    let spans = Sim.Tracer.spans tracer @ Sim.Tracer.live_spans tracer in
+    let by_start (a : Sim.Tracer.span) (b : Sim.Tracer.span) =
+      compare (a.sp_start, a.sp_id) (b.sp_start, b.sp_id)
+    in
+    Printf.printf "sublayer spans (%d), by start time:\n\n" (List.length spans);
+    List.iter
+      (fun sp -> Format.printf "%a@." Sim.Tracer.pp_span sp)
+      (List.sort by_start spans)
   in
   let loss = Arg.(value & opt float 0.1 & info [ "loss" ] ~doc:"Loss probability.") in
   let bytes = Arg.(value & opt int 5_000 & info [ "bytes" ] ~doc:"Stream size.") in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Print the sublayer event trace of a lossy transfer.")
+    (Cmd.info "trace" ~doc:"Print the sublayer spans of a lossy transfer.")
     Term.(const run $ loss $ bytes)
 
 (* --- scale --- *)

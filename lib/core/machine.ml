@@ -3,7 +3,10 @@ type ('up_ind, 'down_req, 'timer) action =
   | Down of 'down_req
   | Set_timer of 'timer * float
   | Cancel_timer of 'timer
-  | Note of string
+
+let drop counter st =
+  Stats.incr counter;
+  (st, [])
 
 module type S = sig
   val name : string
@@ -55,8 +58,7 @@ struct
             let (u, l), out = drain_lower (u, l) lower_acts out in
             drain_upper (u, l) rest out
         | Set_timer (tm, d) -> drain_upper (u, l) rest (Set_timer (Either.Left tm, d) :: out)
-        | Cancel_timer tm -> drain_upper (u, l) rest (Cancel_timer (Either.Left tm) :: out)
-        | Note s -> drain_upper (u, l) rest (Note (Upper.name ^ ": " ^ s) :: out))
+        | Cancel_timer tm -> drain_upper (u, l) rest (Cancel_timer (Either.Left tm) :: out))
 
   and drain_lower (u, l) acts out =
     match acts with
@@ -69,8 +71,7 @@ struct
             drain_lower (u, l) rest out
         | Down r -> drain_lower (u, l) rest (Down r :: out)
         | Set_timer (tm, d) -> drain_lower (u, l) rest (Set_timer (Either.Right tm, d) :: out)
-        | Cancel_timer tm -> drain_lower (u, l) rest (Cancel_timer (Either.Right tm) :: out)
-        | Note s -> drain_lower (u, l) rest (Note (Lower.name ^ ": " ^ s) :: out))
+        | Cancel_timer tm -> drain_lower (u, l) rest (Cancel_timer (Either.Right tm) :: out))
 
   let finish (st, out) = (st, List.rev out)
 

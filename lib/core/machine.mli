@@ -26,8 +26,11 @@ type ('up_ind, 'down_req, 'timer) action =
   | Set_timer of 'timer * float
       (** (Re)arm a named timer to fire after a relative delay. *)
   | Cancel_timer of 'timer
-  | Note of string
-      (** Trace annotation; no protocol effect. *)
+
+val drop : Stats.counter -> 'st -> 'st * ('u, 'd, 't) action list
+(** [drop counter st] discards the input being handled: it bumps
+    [counter] and leaves [st] with no action. A sublayer that throws a
+    PDU or payload away says so here, so no drop is silent. *)
 
 (** Interface implemented by every sublayer. *)
 module type S = sig

@@ -14,8 +14,6 @@ type 'timer alloc_spec = {
 module Make (S : Machine.S) = struct
   type t = {
     engine : Sim.Engine.t;
-    trace : Sim.Trace.t option;
-    name : string;
     transmit : S.down_req -> unit;
     deliver : S.up_ind -> unit;
     alloc : S.timer alloc_spec option;
@@ -29,15 +27,10 @@ module Make (S : Machine.S) = struct
     mutable halted : bool;
   }
 
-  let create engine ?trace ?alloc ~name ~transmit ~deliver st =
-    { engine; trace; alloc; name; transmit; deliver; st; timers = []; halted = false }
+  let create engine ?alloc ~transmit ~deliver st =
+    { engine; alloc; transmit; deliver; st; timers = []; halted = false }
 
   let state t = t.st
-
-  let note t msg =
-    match t.trace with
-    | None -> ()
-    | Some tr -> Sim.Trace.record tr ~time:(Sim.Engine.now t.engine) ~actor:t.name msg
 
   let cancel_timer t tm =
     match List.assoc_opt tm t.timers with
@@ -63,7 +56,6 @@ module Make (S : Machine.S) = struct
         excurse t (match t.alloc with Some a -> a.al_app | None -> None) t.deliver ind
     | Machine.Down req ->
         excurse t (match t.alloc with Some a -> a.al_wire | None -> None) t.transmit req
-    | Machine.Note msg -> note t msg
     | Machine.Cancel_timer tm -> cancel_timer t tm
     | Machine.Set_timer (tm, delay) ->
         cancel_timer t tm;
@@ -102,8 +94,7 @@ module Make (S : Machine.S) = struct
     if not t.halted then begin
       t.halted <- true;
       List.iter (fun (_, handle) -> Sim.Engine.cancel handle) t.timers;
-      t.timers <- [];
-      note t "halted"
+      t.timers <- []
     end
 
   let halted t = t.halted

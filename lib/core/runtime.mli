@@ -1,7 +1,7 @@
 (** Runs a sublayer (or a whole {!Machine.Stack}) under the discrete-event
     simulator: timers become engine events, [Down] requests go to a
-    transmit function (usually a {!Sim.Channel}), [Up] indications go to a
-    delivery callback, and [Note]s are recorded in an optional trace. *)
+    transmit function (usually a {!Sim.Channel}) and [Up] indications go
+    to a delivery callback. *)
 
 type 'timer alloc_spec = {
   al_top : Alloc.cell option;  (** machine that handles [from_above] *)
@@ -21,16 +21,14 @@ module Make (S : Machine.S) : sig
 
   val create :
     Sim.Engine.t ->
-    ?trace:Sim.Trace.t ->
     ?alloc:S.timer alloc_spec ->
-    name:string ->
     transmit:(S.down_req -> unit) ->
     deliver:(S.up_ind -> unit) ->
     S.t ->
     t
-  (** [name] identifies this endpoint in traces.  [alloc] enables
-      per-sublayer allocation attribution at the runtime seams (the
-      hooks are no-ops unless {!Alloc.set_enabled} is on). *)
+  (** [alloc] enables per-sublayer allocation attribution at the
+      runtime seams (the hooks are no-ops unless {!Alloc.set_enabled} is
+      on). *)
 
   val state : t -> S.t
   (** Current sublayer state (for assertions and inspection). *)

@@ -109,6 +109,7 @@ type counters = {
   c_acks_sent : Sublayer.Stats.counter;
   c_delivered : Sublayer.Stats.counter;
   c_give_ups : Sublayer.Stats.counter;
+  c_dropped : Sublayer.Stats.counter;
 }
 
 let counters_in sc =
@@ -118,6 +119,7 @@ let counters_in sc =
     c_acks_sent = Sublayer.Stats.counter sc "acks_sent";
     c_delivered = Sublayer.Stats.counter sc "delivered";
     c_give_ups = Sublayer.Stats.counter sc "give_ups";
+    c_dropped = Sublayer.Stats.counter sc "dropped";
   }
 
 let fresh_counters () = counters_in (Sublayer.Stats.unregistered "arq")

@@ -84,10 +84,13 @@ type counters = {
   c_acks_sent : Sublayer.Stats.counter;
   c_delivered : Sublayer.Stats.counter;
   c_give_ups : Sublayer.Stats.counter;
+  c_dropped : Sublayer.Stats.counter;
+      (** PDUs or payloads discarded: undecodable, offered after the
+          link was declared dead, or (go-back-N) out of order *)
 }
 
 val counters_in : Sublayer.Stats.scope -> counters
-(** Find-or-create the five counters in [scope]. *)
+(** Find-or-create the six counters in [scope]. *)
 
 val fresh_counters : unit -> counters
 (** Counters in a private unregistered scope. *)
@@ -105,8 +108,8 @@ module type S = sig
   val initial : ?stats:Sublayer.Stats.scope -> ?span:Sublayer.Span.ctx -> config -> t
   (** [initial ?stats ?span cfg]: when [stats] is given, the machine
       registers its counters there (names [data_sent], [retransmissions],
-      [acks_sent], [delivered], [give_ups]). When [span] is given, each
-      admitted payload gets a "flight" span (send → ack) with
+      [acks_sent], [delivered], [give_ups], [dropped]). When [span] is
+      given, each admitted payload gets a "flight" span (send → ack) with
       retransmissions recorded as child spans of the original send. *)
 
   val stats : t -> stats

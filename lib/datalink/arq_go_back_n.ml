@@ -73,7 +73,7 @@ let with_timer t acts =
   else (t, acts @ [ Set_timer (Rto, t.cfg.rto) ])
 
 let handle_up_req t payload =
-  if t.dead then (t, [ Note "link declared dead; payload dropped" ])
+  if t.dead then drop t.ctrs.Arq.c_dropped t
   else begin
     let t = { t with queue = t.queue @ [ payload ] } in
     let t, acts = admit t [] in
@@ -82,7 +82,7 @@ let handle_up_req t payload =
 
 let handle_ack t seq16 =
   let a = Sublayer.Seqspace.reconstruct Arq.seqspace ~reference:t.base seq16 in
-  if a <= t.base || a > t.next then (t, [ Note "stale ack" ])
+  if a <= t.base || a > t.next then (t, [])
   else begin
     let old_base = t.base in
     let acked, buf = List.partition (fun (s, _) -> s < a) t.buf in
@@ -124,14 +124,14 @@ let handle_data t seq16 payload =
       ( { t with rx_expected = t.rx_expected + 1 },
         [ Up (Bitkit.Slice.to_string payload) ] )
     end
-    else (t, [ Note "out-of-order data discarded" ])
+    else drop t.ctrs.Arq.c_dropped t
   in
   Sublayer.Stats.incr t.ctrs.Arq.c_acks_sent;
   (t, deliveries @ [ Down (Arq.ack_wirebuf (wire t.rx_expected)) ])
 
 let handle_down_ind t pdu_bytes =
   match Arq.decode_pdu_slice pdu_bytes with
-  | None -> (t, [ Note "undecodable pdu dropped" ])
+  | None -> drop t.ctrs.Arq.c_dropped t
   | Some (Arq.Rx_data (seq16, payload)) -> handle_data t seq16 payload
   | Some (Arq.Rx_ack seq16) -> handle_ack t seq16
 
@@ -142,17 +142,16 @@ let handle_timer t Rto =
     Sublayer.Span.close_all t.sp ~detail:"dead" ();
     if Sublayer.Span.active t.sp then
       List.iter (fun (s, p) -> Sublayer.Span.unbind t.sp (fkey s p)) t.buf;
-    ( { t with buf = []; queue = []; dead = true },
-      [ Note "give up: max_retries exhausted" ] )
+    ({ t with buf = []; queue = []; dead = true }, [])
   end
   else begin
     let t = { t with retries = t.retries + 1 } in
     let resends =
-      List.concat_map
+      List.map
         (fun (seq, payload) ->
           Sublayer.Stats.incr t.ctrs.Arq.c_retransmissions;
           Sublayer.Span.child t.sp ~key:(skey seq) ~detail:"rto" "retx";
-          [ Note "retransmit"; transmit t seq payload ])
+          transmit t seq payload)
         t.buf
     in
     (t, resends @ [ Set_timer (Rto, t.cfg.rto) ])

@@ -71,12 +71,12 @@ let rec admit t acts =
   | _ -> (t, List.rev acts)
 
 let handle_up_req t payload =
-  if t.dead then (t, [ Note "link declared dead; payload dropped" ])
+  if t.dead then drop t.ctrs.Arq.c_dropped t
   else admit { t with queue = t.queue @ [ payload ] } []
 
 let handle_ack t seq16 =
   let a = Sublayer.Seqspace.reconstruct Arq.seqspace ~reference:t.base seq16 in
-  if a < t.base || a >= t.next then (t, [ Note "stale ack" ])
+  if a < t.base || a >= t.next then (t, [])
   else begin
     (* Individual acks: close the one sequence this ack covers (repeats
        for an already-acked seq find no live span and are no-ops). *)
@@ -104,7 +104,7 @@ let handle_data t seq16 payload =
   let seq = Sublayer.Seqspace.reconstruct Arq.seqspace ~reference:t.rx_expected seq16 in
   Sublayer.Stats.incr t.ctrs.Arq.c_acks_sent;
   let ack = Down (Arq.ack_wirebuf seq16) in
-  if seq < t.rx_expected then (t, [ Note "duplicate data"; ack ])
+  if seq < t.rx_expected then (t, [ ack ])
   else begin
     (* Insert into the reordering buffer (dedup), then deliver any
        in-order prefix. *)
@@ -151,7 +151,7 @@ let handle_data t seq16 payload =
 
 let handle_down_ind t pdu_bytes =
   match Arq.decode_pdu_slice pdu_bytes with
-  | None -> (t, [ Note "undecodable pdu dropped" ])
+  | None -> drop t.ctrs.Arq.c_dropped t
   | Some (Arq.Rx_data (seq16, payload)) -> handle_data t seq16 payload
   | Some (Arq.Rx_ack seq16) -> handle_ack t seq16
 
@@ -173,10 +173,9 @@ let handle_timer t (Rto seq) =
           (fun (s, p, acked) ->
             if not acked then Sublayer.Span.unbind t.sp (fkey s p))
           t.buf;
-      ( { t with buf = []; queue = []; dead = true },
-        Note "give up: max_retries exhausted" :: cancels )
+      ({ t with buf = []; queue = []; dead = true }, cancels)
   | Some (_, payload, _) ->
       Sublayer.Stats.incr t.ctrs.Arq.c_retransmissions;
       Sublayer.Span.child t.sp ~key:(skey seq) ~detail:"rto" "retx";
       ( { t with retries = t.retries + 1 },
-        [ Note "retransmit"; transmit t seq payload; Set_timer (Rto seq, t.cfg.rto) ] )
+        [ transmit t seq payload; Set_timer (Rto seq, t.cfg.rto) ] )

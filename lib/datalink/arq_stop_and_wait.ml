@@ -60,7 +60,7 @@ let start_send t payload =
     [ transmit t seq payload; Set_timer (Rto, t.cfg.rto) ] )
 
 let handle_up_req t payload =
-  if t.dead then (t, [ Note "link declared dead; payload dropped" ])
+  if t.dead then drop t.ctrs.Arq.c_dropped t
   else
     match t.outstanding with
     | None -> start_send t payload
@@ -80,7 +80,7 @@ let handle_ack t seq16 =
       | payload :: rest ->
           let t, acts = start_send { t with queue = rest } payload in
           (t, Cancel_timer Rto :: acts))
-  | Some _ | None -> (t, [ Note "stale ack ignored" ])
+  | Some _ | None -> (t, [])
 
 let handle_data t seq16 payload =
   let seq = Sublayer.Seqspace.reconstruct Arq.seqspace ~reference:t.rx_expected seq16 in
@@ -106,11 +106,11 @@ let handle_data t seq16 payload =
     ( { t with rx_expected = t.rx_expected + 1 },
       [ Up (Bitkit.Slice.to_string payload); ack ] )
   end
-  else (t, [ Note "duplicate data"; ack ])
+  else (t, [ ack ])
 
 let handle_down_ind t pdu_bytes =
   match Arq.decode_pdu_slice pdu_bytes with
-  | None -> (t, [ Note "undecodable pdu dropped" ])
+  | None -> drop t.ctrs.Arq.c_dropped t
   | Some (Arq.Rx_data (seq16, payload)) -> handle_data t seq16 payload
   | Some (Arq.Rx_ack seq16) -> handle_ack t seq16
 
@@ -122,10 +122,9 @@ let handle_timer t Rto =
       Sublayer.Span.close_all t.sp ~detail:"dead" ();
       if Sublayer.Span.active t.sp then
         Sublayer.Span.unbind t.sp (fkey seq sent);
-      ( { t with outstanding = None; queue = []; dead = true },
-        [ Note "give up: max_retries exhausted" ] )
+      ({ t with outstanding = None; queue = []; dead = true }, [])
   | Some (seq, payload) ->
       Sublayer.Stats.incr t.ctrs.Arq.c_retransmissions;
       Sublayer.Span.child t.sp ~key:(skey seq) ~detail:"rto" "retx";
       ( { t with retries = t.retries + 1 },
-        [ Note "retransmit"; transmit t seq payload; Set_timer (Rto, t.cfg.rto) ] )
+        [ transmit t seq payload; Set_timer (Rto, t.cfg.rto) ] )

@@ -89,9 +89,8 @@ module Error_detection = struct
         Sublayer.Span.instant t.sp "verify";
         (t, [ Up payload ])
     | None ->
-        Sublayer.Stats.incr t.corrupt;
         Sublayer.Span.instant t.sp ~detail:"dropped" "corrupt";
-        (t, [ Note "corrupt frame dropped" ])
+        drop t.corrupt t
 
   let handle_timer _ t = Nothing.absurd t
 end
@@ -146,9 +145,8 @@ module Framing = struct
            sublayer above narrows this one buffer. *)
         (t, [ Up (Bitkit.Slice.of_string pdu) ])
     | None ->
-        Sublayer.Stats.incr t.malformed;
         Sublayer.Span.instant t.sp ~detail:"dropped" "malformed";
-        (t, [ Note "malformed frame dropped" ])
+        drop t.malformed t
 
   let handle_timer _ t = Nothing.absurd t
 end
@@ -196,9 +194,8 @@ module Line_coding = struct
         Sublayer.Span.instant t.sp "decode";
         (t, [ Up bits ])
     | None ->
-        Sublayer.Stats.incr t.illegal;
         Sublayer.Span.instant t.sp ~detail:"dropped" "illegal";
-        (t, [ Note "illegal line symbols dropped" ])
+        drop t.illegal t
 
   let handle_timer _ t = Nothing.absurd t
 end

@@ -36,7 +36,7 @@ let arq_stats t = t.arq_stats ()
 let is_idle t = t.is_idle ()
 let gave_up t = t.killed || t.arq_gave_up ()
 
-let endpoint engine ?trace ?(ins = I.none) ~name spec ~transmit ~deliver =
+let endpoint engine ?(ins = I.none) ~name spec ~transmit ~deliver =
   let stats = ins.I.stats and monitors = ins.I.monitors
   and telemetry = ins.I.telemetry and pool = ins.I.pool in
   (* The detector's loans live until the end of the event that framed
@@ -104,7 +104,7 @@ let endpoint engine ?trace ?(ins = I.none) ~name spec ~transmit ~deliver =
                 Layers.Line_coding.make ?stats:(in_scope "linecode")
                   ?span:(sp "linecode") spec.linecode ) ) ) ) ) )
   in
-  let r = R.create engine ?trace ~alloc ~name ~transmit ~deliver st in
+  let r = R.create engine ~alloc ~transmit ~deliver st in
   {
     send = R.from_above r;
     from_wire = R.from_below r;
@@ -118,9 +118,9 @@ let endpoint engine ?trace ?(ins = I.none) ~name spec ~transmit ~deliver =
 (* The Link-seam variant: transmit into any [Sublayer.Link], receive as
    its attached callback, and treat link death as ARQ give-up (the
    sender must stop retransmitting into a dead path). *)
-let over_link engine ?trace ?ins ~name spec ~link ~deliver =
+let over_link engine ?ins ~name spec ~link ~deliver =
   let ep =
-    endpoint engine ?trace ?ins ~name spec
+    endpoint engine ?ins ~name spec
       ~transmit:(fun bits -> Sublayer.Link.transmit link bits)
       ~deliver
   in
@@ -144,7 +144,7 @@ let bit_channel engine config ~deliver =
     ~size:(fun bits -> (Bitkit.Bitseq.length bits + 7) / 8)
     ~corrupt:Sim.Channel.corrupt_bits ~deliver ()
 
-let link engine ?trace ?stats_a ?stats_b ?tracer ?monitors ?telemetry ?pool
+let link engine ?stats_a ?stats_b ?tracer ?monitors ?telemetry ?pool
     config spec =
   let received_at_a = Queue.create () in
   let received_at_b = Queue.create () in
@@ -162,11 +162,11 @@ let link engine ?trace ?stats_a ?stats_b ?tracer ?monitors ?telemetry ?pool
   Sublayer.Link.set_transmit link_b (fun bits -> Sim.Channel.send b_to_a bits);
   let ins side = I.v ?stats:side ?tracer ?monitors ?telemetry ?pool () in
   let a =
-    over_link engine ?trace ~ins:(ins stats_a) ~name:"A" spec ~link:link_a
+    over_link engine ~ins:(ins stats_a) ~name:"A" spec ~link:link_a
       ~deliver:(fun payload -> Queue.add payload received_at_a)
   in
   let b =
-    over_link engine ?trace ~ins:(ins stats_b) ~name:"B" spec ~link:link_b
+    over_link engine ~ins:(ins stats_b) ~name:"B" spec ~link:link_b
       ~deliver:(fun payload -> Queue.add payload received_at_b)
   in
   { a; b; a_to_b; b_to_a; received_at_a; received_at_b }

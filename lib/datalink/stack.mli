@@ -33,7 +33,6 @@ val gave_up : endpoint -> bool
 
 val endpoint :
   Sim.Engine.t ->
-  ?trace:Sim.Trace.t ->
   ?ins:Sublayer.Instrument.t ->
   name:string ->
   spec ->
@@ -56,7 +55,6 @@ val endpoint :
 
 val over_link :
   Sim.Engine.t ->
-  ?trace:Sim.Trace.t ->
   ?ins:Sublayer.Instrument.t ->
   name:string ->
   spec ->
@@ -80,7 +78,6 @@ type link = {
 
 val link :
   Sim.Engine.t ->
-  ?trace:Sim.Trace.t ->
   ?stats_a:Sublayer.Stats.registry ->
   ?stats_b:Sublayer.Stats.registry ->
   ?tracer:Sim.Tracer.t ->

@@ -39,8 +39,7 @@ type report = {
           empty when no hook was passed *)
   drops : (string * int) list;
       (** how much of the run's own observability was lost to bounded
-          rings: [("tracer", n)] when a [tracer] was passed,
-          [("events", n)] for the [events] log, one
+          rings: [("tracer", n)] when a [tracer] was passed, one
           [("telemetry:<label>", n)] per telemetry instance, then
           whatever the [drops] hook returned. Zero entries are kept —
           "nothing dropped" is itself a result — but {!pp_report} only
@@ -75,7 +74,6 @@ val run_driver :
   ?flight_n:int ->
   ?flight_cap:int ->
   ?verdicts:(unit -> (string * int * int) list) ->
-  ?events:Events.t ->
   ?telemetry:Telemetry.t list ->
   ?on_slice:(float -> unit) ->
   ?drops:(unit -> (string * int) list) ->
@@ -98,7 +96,6 @@ val run :
   ?flight_n:int ->
   ?flight_cap:int ->
   ?verdicts:(unit -> (string * int * int) list) ->
-  ?events:Events.t ->
   ?telemetry:Telemetry.t list ->
   ?on_slice:(float -> unit) ->
   ?drops:(unit -> (string * int) list) ->
@@ -143,10 +140,10 @@ val run :
     boundary (and once more after the quiesce drain) at the current
     virtual time, so their sample timestamps are the soak's slice grid —
     pass every per-shard instance for a sharded run. [on_slice] fires at
-    the same boundaries (live dashboards hook here). [events] and the
-    soak's own [tracer]/[telemetry] rings surface their drop counts in
-    the report's [drops], after which the [drops] hook may append
-    scenario-specific ones. *)
+    the same boundaries (live dashboards hook here). The soak's own
+    [tracer]/[telemetry] rings surface their drop counts in the report's
+    [drops], after which the [drops] hook may append scenario-specific
+    ones. *)
 
 val reproducible : (int -> report) -> seed:int -> bool
 (** [reproducible scenario ~seed] runs [scenario seed] twice and checks

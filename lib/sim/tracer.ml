@@ -1,7 +1,7 @@
 (* Causal span collector. Self-contained (sim does not see the sublayer
    library): spans are opened/closed by whoever holds the tracer, with
    virtual-time stamps supplied by the caller. Finished spans land in a
-   bounded ring (same eviction discipline as [Events]); live spans are
+   bounded ring (oldest evicted first, evictions counted); live spans are
    indexed by id so a span opened on one host can be closed on another
    (cross-host causality without touching any wire format). *)
 

@@ -50,7 +50,7 @@ let finish_report ~name ~flows ~launched ops soak =
   { wname = name; flows; launched; exact = !exact; live_hwm; soak }
 
 let run ?(spacing = 0.01) ?(step = 0.5) ?(until = 600.) ?invariant ?tracer
-    ?verdicts ?events ?telemetry ?on_slice ?drops ~name ~engine ~flows ops =
+    ?verdicts ?telemetry ?on_slice ?drops ~name ~engine ~flows ops =
   if flows < 0 then invalid_arg "Workload.run: negative flow count";
   let launched = ref 0 in
   let base = Engine.now engine in
@@ -63,7 +63,7 @@ let run ?(spacing = 0.01) ?(step = 0.5) ?(until = 600.) ?invariant ?tracer
   let finished = monotone_finished ops flows in
   let sample () = [ ("live", Engine.live engine) ] in
   let soak =
-    Soak.run ~step ~until ?invariant ?tracer ?verdicts ?events ?telemetry
+    Soak.run ~step ~until ?invariant ?tracer ?verdicts ?telemetry
       ?on_slice ?drops ~sample ~name ~engine ~finished ()
   in
   finish_report ~name ~flows ~launched:!launched ops soak
@@ -76,7 +76,7 @@ let run ?(spacing = 0.01) ?(step = 0.5) ?(until = 600.) ?invariant ?tracer
    total, so a [shards = 1] report is structurally identical to a
    multi-shard one. *)
 let run_sharded ?(spacing = 0.01) ?(step = 0.5) ?(until = 600.) ?invariant
-    ?tracer ?verdicts ?events ?telemetry ?on_slice ?drops ~name ~shard
+    ?tracer ?verdicts ?telemetry ?on_slice ?drops ~name ~shard
     ~launch_site ~flows ops =
   if flows < 0 then invalid_arg "Workload.run_sharded: negative flow count";
   let n = Shard.shards shard in
@@ -96,7 +96,7 @@ let run_sharded ?(spacing = 0.01) ?(step = 0.5) ?(until = 600.) ?invariant
   let finished = monotone_finished ops flows in
   let sample () = [ ("live", Shard.pending shard) ] in
   let soak =
-    Soak.run_driver ~step ~until ?invariant ?tracer ?verdicts ?events
+    Soak.run_driver ~step ~until ?invariant ?tracer ?verdicts
       ?telemetry ?on_slice ?drops ~sample ~name
       ~driver:(Soak.shard_driver shard) ~finished ()
   in

@@ -104,8 +104,7 @@ let abort t reason =
   Sublayer.Span.instant t.sp ~detail:reason "rst_out";
   Sublayer.Span.close_all t.sp ~detail:"reset" ();
   ( { t with phase = Closed },
-    [ Note reason; control t rst; Cancel_timer Handshake; Cancel_timer Fin_retx;
-      Up `Reset ] )
+    [ control t rst; Cancel_timer Handshake; Cancel_timer Fin_retx; Up `Reset ] )
 
 (* Total: a handshake that reaches Established without both ISNs recorded
    (a peer feeding us a malformed handshake) aborts with an RST instead of
@@ -126,22 +125,20 @@ let handle_up_req t (req : up_req) =
       let t = { t with phase = Syn_sent 0; isn_local = Some isn_local } in
       Sublayer.Span.open_ t.sp ~key:"hs"
         ~trace:(Sublayer.Span.fresh_trace t.sp) "handshake";
-      (t, [ Note "SYN_SENT (active open)"; control t syn;
-            Set_timer (Handshake, t.cfg.Config.syn_rto) ])
+      (t, [ control t syn; Set_timer (Handshake, t.cfg.Config.syn_rto) ])
   | `Listen, Closed -> ({ t with phase = Listen }, [])
   | `Close, Established ->
       let t = { t with phase = Fin_wait_1 0 } in
       Sublayer.Span.open_ t.sp ~key:"td"
         ~trace:(Sublayer.Span.fresh_trace t.sp) "teardown";
-      (t, [ Note "FIN_WAIT_1 (local close)"; control t fin;
-            Set_timer (Fin_retx, t.cfg.Config.syn_rto) ])
+      (t, [ control t fin; Set_timer (Fin_retx, t.cfg.Config.syn_rto) ])
   | `Close, Close_wait ->
       let t = { t with phase = Last_ack 0 } in
       Sublayer.Span.open_ t.sp ~key:"td"
         ~trace:(Sublayer.Span.fresh_trace t.sp) "teardown";
       (t, [ control t fin; Set_timer (Fin_retx, t.cfg.Config.syn_rto) ])
   | `Close, (Closed | Listen) -> ({ t with phase = Closed }, [ Up `Closed ])
-  | `Close, _ -> (t, [ Note "close ignored in this phase" ])
+  | `Close, _ -> (t, [])
   | `Abort, (Closed | Listen) -> ({ t with phase = Closed }, [])
   | `Abort, _ ->
       (* RD gave up (or the application demanded an abort): RST the peer
@@ -151,8 +148,8 @@ let handle_up_req t (req : up_req) =
       Sublayer.Span.instant t.sp ~detail:"local abort" "rst_out";
       Sublayer.Span.close_all t.sp ~detail:"reset" ();
       ( { t with phase = Closed },
-        [ Note "ABORT (local)"; control t rst; Cancel_timer Handshake;
-          Cancel_timer Fin_retx; Cancel_timer Time_wait_expiry ] )
+        [ control t rst; Cancel_timer Handshake; Cancel_timer Fin_retx;
+          Cancel_timer Time_wait_expiry ] )
   | `Pdu payload, (Established | Fin_wait_1 _ | Fin_wait_2 | Close_wait | Closing _) ->
       (* Data path: stamp the connection's identity on the segment. *)
       let header =
@@ -161,8 +158,8 @@ let handle_up_req t (req : up_req) =
           isn_remote = Option.get t.isn_remote }
       in
       (t, [ Down (Bitkit.Wirebuf.push payload ~owner:"cm" (Segment.write_cm header)) ])
-  | `Pdu _, _ -> (t, [ Note "data before establishment dropped" ])
-  | (`Connect | `Listen), _ -> (t, [ Note "open in non-closed phase ignored" ])
+  | `Pdu _, _ -> drop t.ctrs.c_dropped t
+  | (`Connect | `Listen), _ -> (t, [])
 
 (* Does an incoming non-SYN segment belong to this incarnation? *)
 let identity_ok t (cm : Segment.cm) =
@@ -173,9 +170,7 @@ let identity_ok t (cm : Segment.cm) =
 
 let handle_down_ind t pdu =
   match Segment.decode_cm_slice pdu with
-  | None ->
-      Sublayer.Stats.incr t.ctrs.c_dropped;
-      (t, [ Note "undecodable cm pdu dropped" ])
+  | None -> drop t.ctrs.c_dropped t
   | Some (cm, payload) -> (
       let f = cm.Segment.flags in
       if f.Segment.rst then begin
@@ -183,14 +178,14 @@ let handle_down_ind t pdu =
           identity_ok t cm || match t.phase with Syn_sent _ -> true | _ -> false
         in
         match t.phase with
-        | Closed | Listen -> (t, [ Note "rst ignored" ])
+        | Closed | Listen -> drop t.ctrs.c_dropped t
         | _ when plausible ->
             Sublayer.Stats.incr t.ctrs.c_resets_received;
             Sublayer.Span.instant t.sp "rst_in";
             Sublayer.Span.close_all t.sp ~detail:"reset" ();
             ( { t with phase = Closed },
               [ Cancel_timer Handshake; Cancel_timer Fin_retx; Up `Reset ] )
-        | _ -> (t, [ Note "rst with wrong identity ignored" ])
+        | _ -> drop t.ctrs.c_dropped t
       end
       else
         match (t.phase, f.Segment.syn, f.Segment.ack, f.Segment.fin) with
@@ -208,19 +203,14 @@ let handle_down_ind t pdu =
             (t, [ control t syn_ack; Set_timer (Handshake, t.cfg.Config.syn_rto) ])
         | Syn_sent _, true, true, false when cm.Segment.isn_remote = Option.get t.isn_local ->
             let t = { t with phase = Established; isn_remote = Some cm.Segment.isn_local } in
-            establish t
-              [ Note "ESTABLISHED (syn|ack received)"; control t bare_ack;
-                Cancel_timer Handshake ]
-              []
+            establish t [ control t bare_ack; Cancel_timer Handshake ] []
         | Syn_sent _, true, false, false ->
             (* Simultaneous open. *)
             let t = { t with phase = Syn_rcvd 0; isn_remote = Some cm.Segment.isn_local } in
             (t, [ control t syn_ack; Set_timer (Handshake, t.cfg.Config.syn_rto) ])
         | Syn_rcvd _, false, true, false when identity_ok t cm ->
             let t = { t with phase = Established } in
-            establish t
-              [ Note "ESTABLISHED (handshake ack)"; Cancel_timer Handshake ]
-              []
+            establish t [ Cancel_timer Handshake ] []
         | Syn_rcvd _, true, true, false when identity_ok t cm ->
             (* Simultaneous open completing. *)
             let t = { t with phase = Established } in
@@ -242,7 +232,7 @@ let handle_down_ind t pdu =
         (* --- Teardown --- *)
         | Established, false, false, true when identity_ok t cm ->
             let t = { t with phase = Close_wait } in
-            (t, [ Note "CLOSE_WAIT (peer fin)"; control t bare_ack; Up `Peer_fin ])
+            (t, [ control t bare_ack; Up `Peer_fin ])
         | Fin_wait_1 _, false, true, false when identity_ok t cm ->
             (* Arm a FIN_WAIT_2 idle timeout (as Linux does) so a peer
                that dies before sending its FIN cannot hang us forever —
@@ -273,9 +263,7 @@ let handle_down_ind t pdu =
         | (Close_wait | Last_ack _ | Closing _), false, false, true when identity_ok t cm ->
             (* Duplicate FIN. *)
             (t, [ control t bare_ack ])
-        | _ ->
-            Sublayer.Stats.incr t.ctrs.c_dropped;
-            (t, [ Note "segment dropped (wrong phase or identity)" ]))
+        | _ -> drop t.ctrs.c_dropped t)
 
 let handle_timer t (tm : timer) =
   match (tm, t.phase) with
@@ -285,8 +273,7 @@ let handle_timer t (tm : timer) =
         Sublayer.Stats.incr t.ctrs.c_handshake_retx;
         Sublayer.Span.child t.sp ~key:"hs" ~detail:"syn" "retx";
         ( { t with phase = Syn_sent (n + 1) },
-          [ Note (Printf.sprintf "SYN retransmit #%d" (n + 1)); control t syn;
-            Set_timer (Handshake, backoff t.cfg.Config.syn_rto (n + 1)) ] )
+          [ control t syn; Set_timer (Handshake, backoff t.cfg.Config.syn_rto (n + 1)) ] )
       end
   | Handshake, Syn_rcvd n ->
       if n >= t.cfg.Config.syn_retries then abort t "handshake gave up"

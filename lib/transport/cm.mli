@@ -36,9 +36,11 @@ val initial :
   remote_port:int ->
   t
 (** Counters (when [stats] is given): [established], [resets_sent],
-    [resets_received], [handshake_retx], [segments_dropped]. When [span]
-    is given, [handshake] and [teardown] spans cover the control
-    exchanges, with instant [rst_in]/[rst_out]/[retx] markers. *)
+    [resets_received], [handshake_retx], [segments_dropped] (undecodable,
+    stale or out-of-phase segments, ignored resets, and data offered
+    before establishment). When [span] is given, [handshake] and
+    [teardown] spans cover the control exchanges, with instant
+    [rst_in]/[rst_out]/[retx] markers. *)
 
 val phase : t -> phase
 val phase_name : t -> string

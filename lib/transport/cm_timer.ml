@@ -95,16 +95,12 @@ let handle_up_req t (req : up_req) =
     ->
       Sublayer.Stats.incr t.ctrs.c_stamped;
       (t, [ stamp ~isn_local ~isn_remote payload ])
-  | `Pdu _, _ ->
-      Sublayer.Stats.incr t.ctrs.c_dropped;
-      (t, [ Note "data while closed dropped" ])
-  | (`Connect | `Listen), _ -> (t, [ Note "open ignored in this phase" ])
+  | `Pdu _, _ -> drop t.ctrs.c_dropped t
+  | (`Connect | `Listen), _ -> (t, [])
 
 let handle_down_ind t pdu =
   match Segment.decode_cm_slice pdu with
-  | None ->
-      Sublayer.Stats.incr t.ctrs.c_dropped;
-      (t, [ Note "undecodable cm pdu dropped" ])
+  | None -> drop t.ctrs.c_dropped t
   | Some (cm, payload) -> (
       let peer_isn = cm.Segment.isn_local in
       let echoed = cm.Segment.isn_remote in
@@ -134,9 +130,7 @@ let handle_down_ind t pdu =
         ->
           (* Still acking the peer's stragglers during the quiet period. *)
           (t, [ Up (`Pdu payload); Set_timer (Idle, t.idle_timeout) ])
-      | _ ->
-          Sublayer.Stats.incr t.ctrs.c_dropped;
-          (t, [ Note "segment with stale identity dropped (delta-t trust)" ]))
+      | _ -> drop t.ctrs.c_dropped t)
 
 let handle_timer t Idle =
   match t.phase with

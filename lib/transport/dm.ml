@@ -57,9 +57,7 @@ let handle_up_req t pdu =
 
 let handle_down_ind t wire =
   match Segment.decode_dm_slice wire with
-  | None ->
-      Sublayer.Stats.incr t.rejected;
-      (t, [ Note "short segment dropped" ])
+  | None -> drop t.rejected t
   | Some (dm, payload) ->
       if dm.Segment.dst_port = t.conn.local_port
          && dm.Segment.src_port = t.conn.remote_port
@@ -68,9 +66,6 @@ let handle_down_ind t wire =
         Sublayer.Span.instant t.sp "segment_in";
         (t, [ Up payload ])
       end
-      else begin
-        Sublayer.Stats.incr t.rejected;
-        (t, [ Note "segment for another connection dropped" ])
-      end
+      else drop t.rejected t
 
 let handle_timer _ t = Nothing.absurd t

@@ -3,8 +3,9 @@
    transmit closure peeks the destination port of each wire segment and
    forwards it to the owning host's channel — a learning switch whose
    forwarding table is filled in at flow-setup time. Ports are allocated
-   globally (flow [f] serves on [1024 + 2f], connects from [1025 + 2f]),
-   so 5k flows stay well clear of the hosts' 49152+ ephemeral range. *)
+   globally (flow [f] serves on [1024 + 2f], connects from [1025 + 2f]);
+   both constructors refuse a flow count that would reach the hosts'
+   49152+ ephemeral range. *)
 
 type flow = {
   f_data : string;
@@ -21,6 +22,12 @@ type t = {
 
 let server_port f = 1024 + (2 * f)
 let client_port f = 1025 + (2 * f)
+
+(* Flow 24,063 is the last whose ports stay below 49152. *)
+let check_flows fn flows =
+  if flows < 0 || flows > 24_064 then
+    invalid_arg
+      (Printf.sprintf "Fabric.%s: %d flows; the port plan addresses 0 to 24064" fn flows)
 
 (* The fabric owns its (shared) observability instances, so it also
    registers the sampling sources: the stats registry (once, not per
@@ -52,7 +59,7 @@ let create engine ?(hosts = 8) ?(config = Config.default)
     ?(factory = Host.sublayered) ?stats ?tracer ?monitors ?telemetry ?pool
     ?(seed = 7) ?link_faults ~channel ~flows ~bytes () =
   if hosts < 1 then invalid_arg "Fabric.create: need at least one host";
-  if flows < 0 then invalid_arg "Fabric.create: negative flow count";
+  check_flows "create" flows;
   if bytes < 0 then invalid_arg "Fabric.create: negative flow size";
   (* Register sources only once the arguments are validated, so a raise
      never leaves the caller's telemetry polluted by a fabric that was
@@ -209,7 +216,7 @@ let create_sharded shard ?(hosts = 8) ?(config = Config.default)
   let nshards = Sim.Shard.shards shard in
   if hosts < nshards then
     invalid_arg "Fabric.create_sharded: need at least one host per shard";
-  if flows < 0 then invalid_arg "Fabric.create_sharded: negative flow count";
+  check_flows "create_sharded" flows;
   if bytes < 0 then invalid_arg "Fabric.create_sharded: negative flow size";
   if Sim.Shard.lookahead shard > channel.Sim.Channel.delay then
     invalid_arg

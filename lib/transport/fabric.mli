@@ -31,6 +31,8 @@ val create :
     hosts and sets up [flows] listener/payload pairs of [bytes] seeded
     random bytes each ([seed] defaults to 7; payloads are deterministic
     in it). Nothing is connected until the workload launches a flow.
+    Raises [Invalid_argument] unless [0 <= flows <= 24_064], so flow
+    [f]'s ports [1024 + 2f] and [1025 + 2f] stay below 49152.
 
     When [link_faults] is given, the fabric switches from one shared
     ingress channel per host to one channel per {e directed} host pair,
@@ -78,10 +80,10 @@ val create_sharded :
     run of this construction is bit-identical at every shard count —
     compare against [shards = 1], which runs the single engine directly.
 
-    Requires [hosts >= shards] and the shard group's lookahead to be at
-    most [channel.delay] (jitter, reordering, serialisation and fault
-    plans only ever add latency, so the conduits' conservative promise
-    holds).
+    Requires [hosts >= shards], [flows] within {!create}'s limit, and
+    the shard group's lookahead to be at most [channel.delay] (jitter,
+    reordering, serialisation and fault plans only ever add latency, so
+    the conduits' conservative promise holds).
 
     [stats] / [tracer] / [monitors] / [telemetry], when given, must hold
     one instance per shard — host [h] records into its shard's — and are

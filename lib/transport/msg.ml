@@ -68,6 +68,7 @@ type conn = {
 type counters = {
   c_messages_sent : Sublayer.Stats.counter;
   c_messages_delivered : Sublayer.Stats.counter;
+  c_dropped : Sublayer.Stats.counter;
 }
 
 type t = {
@@ -88,7 +89,8 @@ let initial ?stats ?cc_stats ?span cfg ~now =
   { cfg; now;
     ctrs =
       { c_messages_sent = Sublayer.Stats.counter sc "messages_sent";
-        c_messages_delivered = Sublayer.Stats.counter sc "messages_delivered" };
+        c_messages_delivered = Sublayer.Stats.counter sc "messages_delivered";
+        c_dropped = Sublayer.Stats.counter sc "dropped" };
     cc_stats;
     sp = (match span with Some sp -> sp | None -> Sublayer.Span.disabled name);
     pre_sends = []; pre_close = false; conn = None }
@@ -252,10 +254,10 @@ let handle_down_ind t (ind : down_ind) =
       let c, fin_acts = maybe_fin c in
       ( { t with conn = Some c; pre_sends = [] },
         (Up `Established :: Down (`Set_block (block c)) :: send_acts) @ fin_acts )
-  | `Established, Some _ -> (t, [ Note "duplicate establishment" ])
+  | `Established, Some _ -> (t, [])
   | `Segment (offset, pdu), Some c -> (
       match decode_header_slice pdu with
-      | None -> (t, [ Note "undecodable msg pdu" ])
+      | None -> drop t.ctrs.c_dropped t
       | Some (h, payload) ->
           let frag_trace =
             Sublayer.Span.take_local t.sp ("off:" ^ string_of_int offset)
@@ -290,7 +292,6 @@ let handle_down_ind t (ind : down_ind) =
   | `Aborted, _ ->
       Sublayer.Span.close_all t.sp ~detail:"aborted" ();
       ({ t with conn = None }, [ Up `Aborted ])
-  | (`Segment _ | `Acked _ | `Loss _ | `Peer_fin), None ->
-      (t, [ Note "indication before establishment" ])
+  | (`Segment _ | `Acked _ | `Loss _ | `Peer_fin), None -> drop t.ctrs.c_dropped t
 
 let handle_timer _ (tm : timer) = Nothing.absurd tm

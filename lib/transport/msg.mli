@@ -52,7 +52,8 @@ val initial :
   now:(unit -> float) ->
   t
 (** Counters (when [stats] is given): [messages_sent],
-    [messages_delivered]. [cc_stats] instruments the congestion-control
+    [messages_delivered], [dropped] (undecodable segments and
+    indications before establishment). [cc_stats] instruments the congestion-control
     instance as in {!Osr.initial}. When [span] is given, each message
     opens a fresh-trace [msg_send] span (closed when fully fragmented)
     and delivery records an instant [msg_delivered]. *)

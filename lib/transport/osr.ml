@@ -13,6 +13,7 @@ type counters = {
   c_bytes_delivered : Sublayer.Stats.counter;
   c_segments_out : Sublayer.Stats.counter;
   c_copied_app_bytes : Sublayer.Stats.counter;
+  c_dropped : Sublayer.Stats.counter;
 }
 
 let counters_in sc =
@@ -21,6 +22,7 @@ let counters_in sc =
     c_bytes_delivered = Sublayer.Stats.counter sc "bytes_delivered";
     c_segments_out = Sublayer.Stats.counter sc "segments_out";
     c_copied_app_bytes = Sublayer.Stats.counter sc "copied_app_bytes";
+    c_dropped = Sublayer.Stats.counter sc "dropped";
   }
 
 (* The outgoing byte stream not yet segmented: a chunk queue with a
@@ -394,10 +396,10 @@ let handle_down_ind t (ind : down_ind) =
       let c, fin_acts = maybe_fin c in
       ( { t with conn = Some c; pre_writes = [] },
         (Up `Established :: Down (`Set_block (block t c)) :: send_acts) @ fin_acts )
-  | `Established, Some _ -> (t, [ Note "duplicate establishment ignored" ])
+  | `Established, Some _ -> (t, [])
   | `Segment (offset, osr_pdu), Some c -> (
       match Segment.decode_osr_slice osr_pdu with
-      | None -> (t, [ Note "undecodable osr pdu dropped" ])
+      | None -> drop t.ctrs.c_dropped t
       | Some (hdr, payload) ->
           let c = { c with peer_window = hdr.Segment.window } in
           (* A CE mark on received data is echoed back to the sender,
@@ -452,8 +454,7 @@ let handle_down_ind t (ind : down_ind) =
       Sublayer.Span.close_all t.sp ~detail:"aborted" ();
       free_reasm t;
       ({ t with conn = None }, [ Cancel_timer Persist; Up `Aborted ])
-  | (`Segment _ | `Acked _ | `Loss _ | `Peer_fin), None ->
-      (t, [ Note "indication before establishment dropped" ])
+  | (`Segment _ | `Acked _ | `Loss _ | `Peer_fin), None -> drop t.ctrs.c_dropped t
 
 let handle_timer t Persist =
   match t.conn with

@@ -21,7 +21,8 @@ val initial :
   now:(unit -> float) ->
   t
 (** Counters (when [stats] is given): [bytes_written], [bytes_delivered],
-    [segments_out], [copied_app_bytes]. When [cc_stats] is given the
+    [segments_out], [copied_app_bytes], [dropped] (undecodable segments
+    and indications before establishment). When [cc_stats] is given the
     congestion-control instance created at establishment is wrapped with
     {!Cc.instrument} under that scope. When [span] is given, every write
     opens a fresh-trace [buffer] span (closed when segmented) and every

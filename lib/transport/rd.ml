@@ -18,6 +18,7 @@ type counters = {
   c_timeouts : Sublayer.Stats.counter;
   c_acks_only : Sublayer.Stats.counter;
   c_dup_segments : Sublayer.Stats.counter;
+  c_dropped : Sublayer.Stats.counter;
 }
 
 let counters_in sc =
@@ -28,6 +29,7 @@ let counters_in sc =
     c_timeouts = Sublayer.Stats.counter sc "timeouts";
     c_acks_only = Sublayer.Stats.counter sc "acks_only";
     c_dup_segments = Sublayer.Stats.counter sc "dup_segments";
+    c_dropped = Sublayer.Stats.counter sc "dropped";
   }
 
 type sent = {
@@ -185,10 +187,8 @@ let arm_rto t c =
 let give_up t c =
   c.backoffs >= t.cfg.Config.max_retries || t.now () >= deadline t c
 
-let with_conn t f =
-  match t.conn with
-  | None -> (t, [ Note "no connection" ])
-  | Some c -> f c
+(* A segment or payload with no connection to carry it is discarded. *)
+let with_conn t f = match t.conn with None -> drop t.ctrs.c_dropped t | Some c -> f c
 
 let handle_up_req t (req : up_req) =
   match req with
@@ -250,7 +250,7 @@ let handle_data t c (rd : Segment.rd) osr_pdu =
   (* RD cannot know the upper sublayer's header size (T3), so the only
      sanity check available is that the claimed extent fits in the PDU. *)
   if offset < 0 || rd.Segment.len > Bitkit.Slice.length osr_pdu then
-    (c, [ Note "implausible data segment dropped" ])
+    drop t.ctrs.c_dropped c
   else begin
     let before = Ranges.cumulative c.rcv in
     let rcv, fresh = Ranges.add c.rcv offset (offset + rd.Segment.len) in
@@ -379,10 +379,7 @@ let handle_ack t c (rd : Segment.rd) osr_pdu =
           let fresh_window = c.snd_acked >= c.recover in
           let c = { c with sndq; recover = (if fresh_window then c.snd_max else c.recover) } in
           let loss_acts = if fresh_window then [ Up (`Loss Cc.Dup_ack) ] else [] in
-          ( c,
-            Note (Printf.sprintf "fast retransmit offset=%d" victim.s_off)
-            :: (send_data t c resend :: loss_acts)
-            @ [ arm_rto t c ] )
+          (c, (send_data t c resend :: loss_acts) @ [ arm_rto t c ])
     end
     else (c, [])
   end
@@ -411,7 +408,7 @@ let handle_down_ind t (ind : down_ind) =
              segment and re-announces the pair; adopt it without
              disturbing sender state (safe while nothing was received). *)
           ({ t with conn = Some { c with isn_local; isn_remote } }, [])
-      | Some _ -> (t, [ Note "late establishment ignored" ]))
+      | Some _ -> (t, []))
   | `Peer_fin -> (t, [ Up `Peer_fin ])
   | `Closed ->
       (* CM is done with this connection: stop our timers so the engine
@@ -425,7 +422,7 @@ let handle_down_ind t (ind : down_ind) =
   | `Pdu pdu ->
       with_conn t (fun c ->
           match Segment.decode_rd_slice pdu with
-          | None -> (t, [ Note "undecodable rd pdu dropped" ])
+          | None -> drop t.ctrs.c_dropped t
           | Some (rd, osr_pdu) ->
               let c, acts1 =
                 if rd.Segment.has_data then handle_data t c rd osr_pdu else (c, [])
@@ -436,14 +433,13 @@ let handle_down_ind t (ind : down_ind) =
               ({ t with conn = Some c }, acts1 @ acts2))
 
 let handle_timer t tm =
-  match tm with
-  | Ack_delay ->
-      with_conn t (fun c ->
-          if c.ack_pending then
-            ({ t with conn = Some { c with ack_pending = false } }, [ send_ack t c ])
-          else (t, []))
-  | Rto ->
-  with_conn t (fun c ->
+  match (tm, t.conn) with
+  | _, None -> (t, [])
+  | Ack_delay, Some c ->
+      if c.ack_pending then
+        ({ t with conn = Some { c with ack_pending = false } }, [ send_ack t c ])
+      else (t, [])
+  | Rto, Some c ->
       if c.sndq <> [] && give_up t c then begin
         (* Retransmission exhausted: the path is (as far as RD can tell)
            a blackhole. Abort upward with ETIMEDOUT semantics and tell
@@ -451,10 +447,7 @@ let handle_timer t tm =
            own vocabulary; no layer violation needed (T3). *)
         Sublayer.Span.close_all t.sp ~detail:"aborted" ();
         ( { t with conn = None },
-          [ Note
-              (Printf.sprintf "giving up after %d backoffs, %.1fs stalled"
-                 c.backoffs (t.now () -. c.last_progress));
-            Cancel_timer Ack_delay; Up `Aborted; Down `Abort ] )
+          [ Cancel_timer Ack_delay; Up `Aborted; Down `Abort ] )
       end
       else
       match List.find_opt (fun s -> not s.s_sacked) c.sndq with
@@ -489,5 +482,4 @@ let handle_timer t tm =
               rto = Float.min (2. *. c.rto) t.cfg.Config.rto_max }
           in
           ( { t with conn = Some c },
-            [ Note (Printf.sprintf "rto retransmit offset=%d rto=%.2f" victim.s_off c.rto);
-              send_data t c resend; Up (`Loss Cc.Timeout); arm_rto t c ] ))
+            [ send_data t c resend; Up (`Loss Cc.Timeout); arm_rto t c ] )

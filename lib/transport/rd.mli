@@ -22,7 +22,9 @@ val initial :
   now:(unit -> float) ->
   t
 (** Counters (when [stats] is given): [segments_sent], [retransmits],
-    [fast_retransmits], [timeouts], [acks_only], [dup_segments]. When
+    [fast_retransmits], [timeouts], [acks_only], [dup_segments],
+    [dropped] (segments or payloads with no connection to carry them,
+    undecodable or implausible segments). When
     [span] is given, each first transmission opens a [flight] span
     (closed by the {e receiving} RD at fresh delivery, correlated
     cross-host by ISN pair + offset); retransmissions record instant

@@ -64,9 +64,14 @@ let seal t pdu =
   Sublayer.Stats.incr t.c_sent;
   ({ t with seq = seq + 1 }, le64 seq ^ ciphertext ^ tag)
 
+(* A record too short to carry a tag fails authentication like a forged
+   one. *)
 let open_ t record =
   let n = String.length record in
-  if n < 16 then None
+  if n < 16 then begin
+    Sublayer.Stats.incr t.c_failures;
+    None
+  end
   else begin
     let seq = read_le64 record 0 in
     let ciphertext = String.sub record 8 (n - 16) in
@@ -155,6 +160,6 @@ let handle_down_ind t record =
       (t, [ Up (Bitkit.Slice.of_string pdu) ])
   | None ->
       Sublayer.Span.instant t.sp "auth_fail";
-      (t, [ Note "record failed authentication; dropped" ])
+      (t, [])
 
 let handle_timer _ (tm : timer) = Nothing.absurd tm

@@ -17,7 +17,7 @@
     port and sequence number, so the two directions of a connection never
     reuse a nonce under the shared key); integrity is a SipHash-2-4 tag
     over the sender port, sequence number and ciphertext. Records that
-    fail authentication are dropped silently — RD's retransmission
+    fail authentication are dropped and counted — RD's retransmission
     machinery repairs the hole, so a corrupting channel needs no separate
     CRC guard under this stack. Keys are preshared (the simulator has no
     PKI); replay is harmless because CM/RD deduplicate above. *)
@@ -51,7 +51,8 @@ val seal : t -> string -> t * string
 (** Encrypt-and-authenticate one PDU (exposed for unit tests). *)
 
 val open_ : t -> string -> string option
-(** Verify-and-decrypt one record; [None] if forged or damaged. *)
+(** Verify-and-decrypt one record; [None] if forged, damaged or too
+    short, counted in [auth_failures]. *)
 
 include
   Sublayer.Machine.S

@@ -8,7 +8,7 @@ module R = Sublayer.Runtime.Make (Full)
 
 type t = R.t
 
-let create engine ?trace ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port ~remote_port ~transmit ~events =
+let create engine ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port ~remote_port ~transmit ~events =
   let module I = Sublayer.Instrument in
   let now () = Sim.Engine.now engine in
   let isn = Config.make_isn cfg engine in
@@ -19,7 +19,7 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port
   let rd = Rd.initial ?stats:(sc "rd") ?span:(sp "rd") cfg ~now in
   let cm = Cm.initial ?stats:(sc "cm") ?span:(sp "cm") cfg ~isn ~local_port ~remote_port in
   let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ~local_port ~remote_port () in
-  R.create engine ?trace ~name ~transmit ~deliver:events
+  R.create engine ~transmit ~deliver:events
     ( msg,
       ( Conform.osr_rd ~spec:(Monitor.Specs.stream_rd ~upper:"msg") monitors
           ~conn:name,

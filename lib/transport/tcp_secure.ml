@@ -11,7 +11,7 @@ type t = R.t
 
 let demo_key = String.init 32 (fun i -> Char.chr (7 * (i + 3) land 0xFF))
 
-let create engine ?trace ?(ins = Sublayer.Instrument.none) ~key ~name cfg
+let create engine ?(ins = Sublayer.Instrument.none) ~key ~name cfg
     ~local_port ~remote_port ~transmit ~events =
   let module I = Sublayer.Instrument in
   let now () = Sim.Engine.now engine in
@@ -74,7 +74,7 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none) ~key ~name cfg
       ~remote_port ()
   in
   let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ?pool ~local_port ~remote_port () in
-  R.create engine ?trace ~alloc ~name ~transmit ~deliver:events
+  R.create engine ~alloc ~transmit ~deliver:events
     ( osr,
       ( Conform.osr_rd ~alloc:(osr_c, rd_c) monitors ~conn:name,
         ( rd,

@@ -10,7 +10,7 @@ module R = Sublayer.Runtime.Make (Full)
 
 type t = R.t
 
-let create engine ?trace ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port ~remote_port ~transmit ~events =
+let create engine ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port ~remote_port ~transmit ~events =
   let module I = Sublayer.Instrument in
   let now () = Sim.Engine.now engine in
   let isn = Config.make_isn cfg engine in
@@ -55,7 +55,7 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port
   let rd = Rd.initial ?stats:(sc "rd") ?span:(sp "rd") cfg ~now in
   let cm = Cm.initial ?stats:(sc "cm") ?span:(sp "cm") cfg ~isn ~local_port ~remote_port in
   let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ?pool ~local_port ~remote_port () in
-  R.create engine ?trace ~alloc ~name ~transmit ~deliver:events
+  R.create engine ~alloc ~transmit ~deliver:events
     ( osr,
       ( Conform.osr_rd ~alloc:(osr_c, rd_c) monitors ~conn:name,
         ( rd,

@@ -7,7 +7,6 @@ type t
 
 val create :
   Sim.Engine.t ->
-  ?trace:Sim.Trace.t ->
   ?ins:Sublayer.Instrument.t ->
   name:string ->
   Config.t ->

@@ -8,7 +8,7 @@ module R = Sublayer.Runtime.Make (Full)
 
 type t = R.t
 
-let create engine ?trace ?(ins = Sublayer.Instrument.none)
+let create engine ?(ins = Sublayer.Instrument.none)
     ?(idle_timeout = 6.0) ~name cfg ~local_port ~remote_port ~transmit ~events =
   let module I = Sublayer.Instrument in
   let now () = Sim.Engine.now engine in
@@ -53,7 +53,7 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none)
       ~local_port ~remote_port ~idle_timeout
   in
   let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ?pool ~local_port ~remote_port () in
-  R.create engine ?trace ~alloc ~name ~transmit ~deliver:events
+  R.create engine ~alloc ~transmit ~deliver:events
     ( osr,
       ( Conform.osr_rd ~alloc:(osr_c, rd_c) monitors ~conn:name,
         ( rd,

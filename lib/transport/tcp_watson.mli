@@ -6,7 +6,6 @@ type t
 
 val create :
   Sim.Engine.t ->
-  ?trace:Sim.Trace.t ->
   ?ins:Sublayer.Instrument.t ->
   ?idle_timeout:float ->
   name:string ->

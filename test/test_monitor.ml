@@ -194,7 +194,7 @@ let test_mutation_osr_gap () =
   let engine = Sim.Engine.create ~seed:1 () in
   let monitors = Monitor.Runtime.create ~label:"mut" () in
   let t =
-    R_sink.create engine ~name:"mut" ~transmit:ignore ~deliver:ignore
+    R_sink.create engine ~transmit:ignore ~deliver:ignore
       (Conform.osr_rd (Some monitors) ~conn:"mut-osr", ())
   in
   R_sink.from_above t `Connect;
@@ -212,7 +212,7 @@ let test_mutation_rd_overack () =
   let engine = Sim.Engine.create ~seed:2 () in
   let monitors = Monitor.Runtime.create ~label:"mut" () in
   let t =
-    R_greedy.create engine ~name:"mut" ~transmit:ignore ~deliver:ignore
+    R_greedy.create engine ~transmit:ignore ~deliver:ignore
       (Conform.osr_rd (Some monitors) ~conn:"mut-rd", ())
   in
   R_greedy.from_above t `Connect;
@@ -224,7 +224,7 @@ let test_mutation_cm_early_pdu () =
   let engine = Sim.Engine.create ~seed:3 () in
   let monitors = Monitor.Runtime.create ~label:"mut" () in
   let t =
-    R_chatty.create engine ~name:"mut" ~transmit:ignore ~deliver:ignore
+    R_chatty.create engine ~transmit:ignore ~deliver:ignore
       (Conform.rd_cm (Some monitors) ~conn:"mut-cm", ())
   in
   R_chatty.from_above t `Connect;

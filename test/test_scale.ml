@@ -175,6 +175,29 @@ let test_shard_past_delivery_rejected () =
   Alcotest.(check bool) "boundary message fired" true !fired;
   Alcotest.(check int) "events accounted" 2 (Sim.Shard.events_fired shard)
 
+(* Flow [f] uses ports [1024 + 2f] and [1025 + 2f]; the last flow whose
+   ports stay below the 49152+ ephemeral range is 24,063. Both
+   constructors accept exactly that many flows and refuse one more,
+   instead of letting the ports wrap past 65535 and the segments vanish
+   at the switch. *)
+let test_port_capacity () =
+  let channel = { Sim.Channel.ideal with delay = 0.01 } in
+  let build flows =
+    let engine = Sim.Engine.create ~seed:1 () in
+    Transport.Fabric.create engine ~hosts:8 ~channel ~flows ~bytes:1 ()
+  in
+  ignore (build 24_064);
+  (match build 24_065 with
+  | _ -> Alcotest.fail "create accepted 24,065 flows"
+  | exception Invalid_argument _ -> ());
+  let shard = Sim.Shard.create ~shards:1 () in
+  match
+    Transport.Fabric.create_sharded shard ~hosts:8 ~channel ~flows:24_065
+      ~bytes:1 ()
+  with
+  | _ -> Alcotest.fail "create_sharded accepted 24,065 flows"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "scale"
     [
@@ -189,6 +212,7 @@ let () =
             test_backend_agreement;
           Alcotest.test_case "partial partition at 1k flows" `Quick
             test_partial_partition;
+          Alcotest.test_case "port plan capacity" `Quick test_port_capacity;
         ] );
       ( "sharded",
         [

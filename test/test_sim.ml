@@ -297,51 +297,6 @@ let test_channel_burst_loss () =
     Alcotest.failf "burst runs %.2f not longer than iid runs %.2f" (mean_run burst)
       (mean_run iid)
 
-(* --- Trace --- *)
-
-let test_trace () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.record t ~time:1.0 ~actor:"a" "send x";
-  Sim.Trace.record t ~time:2.0 ~actor:"b" "recv x";
-  Sim.Trace.record t ~time:3.0 ~actor:"a" "send y";
-  check Alcotest.int "count prefix" 2 (Sim.Trace.count t "send");
-  check Alcotest.int "count actor" 1 (Sim.Trace.count t ~actor:"b" "recv");
-  check Alcotest.int "entries" 3 (List.length (Sim.Trace.entries t));
-  let first = List.hd (Sim.Trace.entries t) in
-  check Alcotest.string "chronological" "send x" first.Sim.Trace.event;
-  Sim.Trace.clear t;
-  check Alcotest.int "cleared" 0 (List.length (Sim.Trace.entries t))
-
-let test_trace_bounded () =
-  (* The ring retains at most [capacity] entries but counts stay
-     all-time. *)
-  let t = Sim.Trace.create ~capacity:100 () in
-  for i = 1 to 250 do
-    Sim.Trace.record t ~time:(Float.of_int i) ~actor:"a" "send x"
-  done;
-  check Alcotest.int "retained bounded" 100 (List.length (Sim.Trace.entries t));
-  check Alcotest.int "dropped counted" 150 (Sim.Trace.dropped t);
-  check Alcotest.int "count survives eviction" 250 (Sim.Trace.count t "send");
-  let oldest = List.hd (Sim.Trace.entries t) in
-  check (Alcotest.float 1e-9) "oldest evicted first" 151. oldest.Sim.Trace.time;
-  Sim.Trace.clear t;
-  check Alcotest.int "cleared" 0 (Sim.Trace.count t "send");
-  check Alcotest.int "dropped reset" 0 (Sim.Trace.dropped t)
-
-let test_events_indexed_count () =
-  let t = Sim.Events.create ~capacity:64 () in
-  for i = 1 to 1000 do
-    Sim.Events.emit t ~at:(Float.of_int i) ~actor:(if i mod 2 = 0 then "a" else "b")
-      ~detail:(string_of_int i) "retransmit"
-  done;
-  Sim.Events.emit t ~at:1001. ~actor:"a" "give-up";
-  check Alcotest.int "all-time prefix count" 1000
-    (Sim.Events.count t ~prefix:"retrans" ());
-  check Alcotest.int "per-actor count" 500 (Sim.Events.count t ~actor:"a" ~prefix:"retransmit" ());
-  check Alcotest.int "other kind" 1 (Sim.Events.count t ~prefix:"give" ());
-  check Alcotest.int "window bounded" 64 (Sim.Events.length t);
-  check Alcotest.int "recorded all-time" 1001 (Sim.Events.recorded t)
-
 let () =
   Alcotest.run "sim"
     [
@@ -373,11 +328,5 @@ let () =
           Alcotest.test_case "mid-flight reconfig semantics" `Quick
             test_channel_set_config_midflight;
           Alcotest.test_case "gilbert-elliott burst loss" `Quick test_channel_burst_loss;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "record/count" `Quick test_trace;
-          Alcotest.test_case "bounded ring" `Quick test_trace_bounded;
-          Alcotest.test_case "events indexed count" `Quick test_events_indexed_count;
         ] );
     ]

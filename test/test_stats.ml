@@ -1,6 +1,7 @@
-(* Unit tests for the Sublayer.Stats instruments, plus one integration
-   check that a lossy ARQ run's retransmit counter agrees with the
-   structured trace. *)
+(* Unit tests for the Sublayer.Stats instruments, a check that every
+   sublayer counts the PDUs and payloads it discards, and one integration
+   check that a lossy ARQ run's retransmit counter agrees with the span
+   tracer. *)
 
 let check = Alcotest.check
 module Stats = Sublayer.Stats
@@ -106,40 +107,152 @@ let test_json () =
   check Alcotest.string "registry json" {|{"label":"a","stats":{"arq.data_sent":1}}|}
     (Stats.to_json reg)
 
-(* --- Integration: counters vs. the structured trace --- *)
+(* --- Drops: every discarded PDU or payload moves a named counter --- *)
+
+module T = Transport
+
+(* One row per drop path: the scope and counter that must count it, and
+   a feed that builds the sublayer on that scope and hands it one
+   malformed, early or undeliverable input. *)
+let transport_drops =
+  let cfg = T.Config.default and now () = 0. in
+  let junk = Bitkit.Slice.of_string "\001" in
+  let established_rd sc =
+    fst (T.Rd.handle_down_ind (T.Rd.initial ~stats:sc cfg ~now) (`Established (1, 2)))
+  in
+  let osr sc = T.Osr.initial ~stats:sc cfg ~now in
+  let msg sc = T.Msg.initial ~stats:sc cfg ~now in
+  let rec_ sc =
+    T.Rec.initial ~stats:sc ~key:T.Tcp_secure.demo_key ~local_port:1 ~remote_port:2 ()
+  in
+  [
+    ( "rd: pdu with no connection", "rd", "dropped",
+      fun sc -> ignore (T.Rd.handle_down_ind (T.Rd.initial ~stats:sc cfg ~now) (`Pdu junk)) );
+    ( "rd: payload with no connection", "rd", "dropped",
+      fun sc ->
+        ignore
+          (T.Rd.handle_up_req (T.Rd.initial ~stats:sc cfg ~now)
+             (`Transmit (0, 1, Bitkit.Wirebuf.of_string "x"))) );
+    ( "rd: undecodable pdu", "rd", "dropped",
+      fun sc -> ignore (T.Rd.handle_down_ind (established_rd sc) (`Pdu junk)) );
+    ( "rd: implausible extent", "rd", "dropped",
+      fun sc ->
+        let seg =
+          T.Segment.encode_rd
+            { T.Segment.seq = 3; ack = 0; len = 100; has_data = true; has_ack = false;
+              sacks = [] }
+            ~payload:""
+        in
+        ignore
+          (T.Rd.handle_down_ind (established_rd sc) (`Pdu (Bitkit.Slice.of_string seg))) );
+    ( "osr: undecodable segment", "osr", "dropped",
+      fun sc ->
+        let t, _ = T.Osr.handle_down_ind (osr sc) `Established in
+        ignore (T.Osr.handle_down_ind t (`Segment (0, Bitkit.Slice.of_string ""))) );
+    ( "osr: segment before establishment", "osr", "dropped",
+      fun sc -> ignore (T.Osr.handle_down_ind (osr sc) (`Segment (0, junk))) );
+    ( "msg: undecodable segment", "msg", "dropped",
+      fun sc ->
+        let t, _ = T.Msg.handle_down_ind (msg sc) `Established in
+        ignore (T.Msg.handle_down_ind t (`Segment (0, Bitkit.Slice.of_string ""))) );
+    ( "msg: segment before establishment", "msg", "dropped",
+      fun sc -> ignore (T.Msg.handle_down_ind (msg sc) (`Segment (0, junk))) );
+    ( "cm: data before establishment", "cm", "segments_dropped",
+      fun sc ->
+        let t =
+          T.Cm.initial ~stats:sc cfg ~isn:(T.Isn.counter ()) ~local_port:1 ~remote_port:2
+        in
+        ignore (T.Cm.handle_up_req t (`Pdu (Bitkit.Wirebuf.of_string "x"))) );
+    ( "rec: forged record", "rec", "auth_failures",
+      fun sc ->
+        ignore (T.Rec.handle_down_ind (rec_ sc) (Bitkit.Slice.of_string (String.make 32 'x'))) );
+    ( "rec: record too short for a tag", "rec", "auth_failures",
+      fun sc -> ignore (T.Rec.handle_down_ind (rec_ sc) junk) );
+  ]
+
+(* The ARQs run under a runtime so the give-up timer can fire: with
+   [max_retries = 0] the first timeout declares the link dead, and the
+   next payload offered is discarded. *)
+let arq_drops =
+  let run (module A : Datalink.Arq.S) feed sc =
+    let engine = Sim.Engine.create () in
+    let module R = Sublayer.Runtime.Make (A) in
+    let cfg = { Datalink.Arq.default_config with max_retries = 0 } in
+    let r = R.create engine ~transmit:ignore ~deliver:ignore (A.initial ~stats:sc cfg) in
+    feed engine ~above:(R.from_above r) ~below:(R.from_below r)
+  in
+  let undecodable _ ~above:_ ~below = below (Bitkit.Slice.of_string "\007") in
+  let after_death engine ~above ~below:_ =
+    above "x";
+    Sim.Engine.run engine;
+    above "y"
+  in
+  let out_of_order _ ~above:_ ~below =
+    below (Bitkit.Slice.of_string (Datalink.Arq.encode_pdu (Datalink.Arq.Data (5, "x"))))
+  in
+  let variants =
+    [ ("gbn", (module Datalink.Arq_go_back_n : Datalink.Arq.S));
+      ("sr", (module Datalink.Arq_selective_repeat));
+      ("sw", (module Datalink.Arq_stop_and_wait)) ]
+  in
+  List.concat_map
+    (fun (v, arq) ->
+      [ ("arq-" ^ v ^ ": undecodable pdu", "arq", "dropped", run arq undecodable);
+        ("arq-" ^ v ^ ": payload after link death", "arq", "dropped", run arq after_death) ])
+    variants
+  @ [ ( "arq-gbn: out-of-order data", "arq", "dropped",
+        run (module Datalink.Arq_go_back_n) out_of_order ) ]
+
+let test_drops_counted () =
+  List.iter
+    (fun (label, scope, counter, feed) ->
+      let reg = Stats.create () in
+      feed (Stats.scope reg scope);
+      let key = scope ^ "." ^ counter in
+      check Alcotest.int label 1
+        (Option.value ~default:0 (List.assoc_opt key (Stats.snapshot reg))))
+    (transport_drops @ arq_drops)
+
+(* --- Integration: counters vs. the span tracer --- *)
 
 let test_arq_retransmits_match_trace () =
-  (* Drive a go-back-n link over a lossy channel with both a trace and a
+  (* Drive a go-back-n link over a lossy channel with both a tracer and a
      stats registry attached; the [arq.retransmissions] counter must
-     agree with the all-time count of "retransmit" trace events, per
-     endpoint. *)
+     agree with the number of [retx] child spans hanging off that
+     endpoint's ARQ flight spans, per endpoint. *)
   let engine = Sim.Engine.create ~seed:7 () in
-  let trace = Sim.Trace.create ~capacity:64 () in
+  let tracer = Sim.Tracer.create ~capacity:65536 () in
   let stats_a = Stats.create ~label:"A" () in
   let stats_b = Stats.create ~label:"B" () in
   let link =
-    Datalink.Stack.link engine ~trace ~stats_a ~stats_b
+    Datalink.Stack.link engine ~tracer ~stats_a ~stats_b
       (Sim.Channel.lossy 0.2) Datalink.Stack.default_spec
   in
   let payloads = List.init 40 (Printf.sprintf "payload %d") in
   let received = Datalink.Stack.transfer engine link payloads in
   check Alcotest.int "transfer completed" 40 (List.length received);
+  check Alcotest.int "no span evicted" 0 (Sim.Tracer.dropped tracer);
   let retx reg = List.assoc_opt "arq.retransmissions" (Stats.snapshot reg) in
   let counted r = Option.value ~default:0 (retx r) in
   check Alcotest.bool "lossy run actually retransmitted" true
     (counted stats_a > 0);
-  (* The stack combinator prefixes machine notes with the sublayer name,
-     so the ARQ's note indexes as "arq-gbn: retransmit". *)
-  check Alcotest.int "A counter matches trace"
-    (Sim.Trace.count trace ~actor:"A" "arq-gbn: retransmit")
-    (counted stats_a);
-  check Alcotest.int "B counter matches trace"
-    (Sim.Trace.count trace ~actor:"B" "arq-gbn: retransmit")
-    (counted stats_b);
-  (* The capacity-64 ring has long since evicted the early entries; the
-     all-time indexed count must not care. *)
-  check Alcotest.bool "trace window is bounded" true
-    (List.length (Sim.Trace.entries trace) <= 64)
+  let spans = Sim.Tracer.spans tracer @ Sim.Tracer.live_spans tracer in
+  let traced track =
+    let arq (s : Sim.Tracer.span) = s.sp_track = track && s.sp_sublayer = "arq" in
+    let flights =
+      List.filter_map
+        (fun (s : Sim.Tracer.span) ->
+          if arq s && s.sp_name = "flight" then Some s.sp_id else None)
+        spans
+    in
+    List.length
+      (List.filter
+         (fun (s : Sim.Tracer.span) ->
+           arq s && s.sp_name = "retx" && List.mem s.sp_parent flights)
+         spans)
+  in
+  check Alcotest.int "A counter matches trace" (traced "A") (counted stats_a);
+  check Alcotest.int "B counter matches trace" (traced "B") (counted stats_b)
 
 let () =
   Alcotest.run "stats"
@@ -157,6 +270,8 @@ let () =
           Alcotest.test_case "snapshot + delta" `Quick test_snapshot_and_delta;
           Alcotest.test_case "json" `Quick test_json;
         ] );
+      ( "drops",
+        [ Alcotest.test_case "every drop path is counted" `Quick test_drops_counted ] );
       ( "integration",
         [
           Alcotest.test_case "arq retransmits match trace" `Quick

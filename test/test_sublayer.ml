@@ -28,9 +28,11 @@ struct
     let tl = String.length C.tag in
     if String.length msg >= tl && String.sub msg 0 tl = C.tag then
       (n + 1, [ Machine.Up (String.sub msg tl (String.length msg - tl)) ])
-    else (n, [ Machine.Note "wrong tag" ])
+    else (n, [])
 
-  let handle_timer n () = (n, [ Machine.Note "tick" ])
+  (* A timer sends a tagged probe down, so the tags on the way out show
+     which machine the timer reached. *)
+  let handle_timer n () = (n, [ Machine.Down (C.tag ^ "tick") ])
 end
 
 module A = Tag (struct let tag = "A" end)
@@ -57,20 +59,20 @@ let test_stack_state_threading () =
 let test_stack_wrong_tag_dropped () =
   let (_ : AB.t), acts = AB.handle_down_ind (0, 0) "XYx" in
   match acts with
-  | [ Machine.Note _ ] -> ()
-  | _ -> Alcotest.fail "expected only a note"
+  | [] -> ()
+  | _ -> Alcotest.fail "expected no actions"
 
 let test_stack_timer_routing () =
+  (* [Left] reaches the upper machine, whose probe then crosses the
+     lower one on its way out; [Right] reaches the lower machine only. *)
   let (_ : AB.t), acts = AB.handle_timer (0, 0) (Either.Left ()) in
   (match acts with
-  | [ Machine.Note n ] -> check Alcotest.bool "upper name prefixed" true
-      (String.length n > 0 && String.sub n 0 5 = "tag-A")
-  | _ -> Alcotest.fail "expected note");
+  | [ Machine.Down s ] -> check Alcotest.string "upper timer" "BAtick" s
+  | _ -> Alcotest.fail "expected a single Down");
   let (_ : AB.t), acts = AB.handle_timer (0, 0) (Either.Right ()) in
   match acts with
-  | [ Machine.Note n ] -> check Alcotest.bool "lower name prefixed" true
-      (String.sub n 0 5 = "tag-B")
-  | _ -> Alcotest.fail "expected note"
+  | [ Machine.Down s ] -> check Alcotest.string "lower timer" "Btick" s
+  | _ -> Alcotest.fail "expected a single Down"
 
 (* An echo sublayer exercising causal ordering: when it receives a
    message from below it immediately sends a reply down. *)
@@ -123,7 +125,7 @@ let test_runtime_timer_fires () =
   let engine = Sim.Engine.create () in
   let sent = ref [] in
   let rt =
-    DelayRt.create engine ~name:"d" ~transmit:(fun s -> sent := s :: !sent)
+    DelayRt.create engine ~transmit:(fun s -> sent := s :: !sent)
       ~deliver:(fun _ -> ()) ()
   in
   DelayRt.from_above rt "x";
@@ -137,7 +139,7 @@ let test_runtime_timer_rearm_replaces () =
   let engine = Sim.Engine.create () in
   let sent = ref [] in
   let rt =
-    DelayRt.create engine ~name:"d" ~transmit:(fun s -> sent := s :: !sent)
+    DelayRt.create engine ~transmit:(fun s -> sent := s :: !sent)
       ~deliver:(fun _ -> ()) ()
   in
   (* Same timer value re-armed: only the last firing survives. *)
@@ -145,17 +147,6 @@ let test_runtime_timer_rearm_replaces () =
   DelayRt.from_above rt "x";
   Sim.Engine.run engine;
   check Alcotest.(list string) "one firing" [ "x" ] !sent
-
-let test_runtime_trace_notes () =
-  let engine = Sim.Engine.create () in
-  let trace = Sim.Trace.create () in
-  let module Rt = Runtime.Make (Echo) in
-  let rt =
-    Rt.create engine ~trace ~name:"e" ~transmit:ignore ~deliver:ignore ()
-  in
-  ignore rt;
-  Sim.Trace.record trace ~time:0. ~actor:"e" "hello";
-  check Alcotest.int "recorded" 1 (Sim.Trace.count trace "hello")
 
 (* --- Layout --- *)
 
@@ -233,7 +224,6 @@ let () =
         [
           Alcotest.test_case "timer fires" `Quick test_runtime_timer_fires;
           Alcotest.test_case "re-arm replaces" `Quick test_runtime_timer_rearm_replaces;
-          Alcotest.test_case "trace notes" `Quick test_runtime_trace_notes;
         ] );
       ( "layout",
         [

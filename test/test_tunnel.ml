@@ -339,7 +339,7 @@ let mutation_levels ~mutate_inner =
   let inner_key = Sublayer.Instrument.tagged_name ins1 "iA:80>49152" in
   let legal key =
     let t =
-      R_sink.create engine ~name:key ~transmit:ignore ~deliver:ignore
+      R_sink.create engine ~transmit:ignore ~deliver:ignore
         (Conform.osr_rd (Some monitors) ~conn:key, ())
     in
     R_sink.from_above t `Connect;
@@ -347,7 +347,7 @@ let mutation_levels ~mutate_inner =
   in
   let buggy key =
     let t =
-      R_greedy.create engine ~name:key ~transmit:ignore ~deliver:ignore
+      R_greedy.create engine ~transmit:ignore ~deliver:ignore
         (Conform.osr_rd (Some monitors) ~conn:key, ())
     in
     R_greedy.from_above t `Connect;
