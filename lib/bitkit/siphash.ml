@@ -1,85 +1,72 @@
-let rotl x n = Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
+(* Unchecked little-endian 64-bit loads: [hash_sub] validates its range
+   before the compression loop runs. *)
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let word64_le s off =
-  let b i = Int64.of_int (Char.code s.[off + i]) in
-  let ( ||| ) = Int64.logor in
-  b 0
-  ||| Int64.shift_left (b 1) 8
-  ||| Int64.shift_left (b 2) 16
-  ||| Int64.shift_left (b 3) 24
-  ||| Int64.shift_left (b 4) 32
-  ||| Int64.shift_left (b 5) 40
-  ||| Int64.shift_left (b 6) 48
-  ||| Int64.shift_left (b 7) 56
+let[@inline] get_le64 s i =
+  if Sys.big_endian then bswap64 (string_get64u s i) else string_get64u s i
 
-type state = { mutable v0 : int64; mutable v1 : int64; mutable v2 : int64; mutable v3 : int64 }
+let[@inline] rotl x n =
+  Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
 
-let sipround s =
-  s.v0 <- Int64.add s.v0 s.v1;
-  s.v1 <- rotl s.v1 13;
-  s.v1 <- Int64.logxor s.v1 s.v0;
-  s.v0 <- rotl s.v0 32;
-  s.v2 <- Int64.add s.v2 s.v3;
-  s.v3 <- rotl s.v3 16;
-  s.v3 <- Int64.logxor s.v3 s.v2;
-  s.v0 <- Int64.add s.v0 s.v3;
-  s.v3 <- rotl s.v3 21;
-  s.v3 <- Int64.logxor s.v3 s.v0;
-  s.v2 <- Int64.add s.v2 s.v1;
-  s.v1 <- rotl s.v1 17;
-  s.v1 <- Int64.logxor s.v1 s.v2;
-  s.v2 <- rotl s.v2 32
-
+(* The state lives in four local [int64] refs, which never escape, so
+   ocamlopt keeps them unboxed: the whole hash allocates nothing but its
+   result. One loop runs every compression: the [full] message words and
+   the padded last word take two SipRounds each, and a final pass with
+   [v2 ^= 0xff] takes the four finalisation rounds. *)
 let hash_sub ~key msg ~pos ~len =
   if String.length key <> 16 then invalid_arg "Siphash: key must be 16 bytes";
-  if pos < 0 || len < 0 || pos + len > String.length msg then
+  if pos < 0 || len < 0 || pos > String.length msg - len then
     invalid_arg "Siphash.hash_sub";
-  let k0 = word64_le key 0 and k1 = word64_le key 8 in
-  let s =
-    { v0 = Int64.logxor 0x736f6d6570736575L k0;
-      v1 = Int64.logxor 0x646f72616e646f6dL k1;
-      v2 = Int64.logxor 0x6c7967656e657261L k0;
-      v3 = Int64.logxor 0x7465646279746573L k1 }
-  in
-  let n = len in
-  let full = n / 8 in
-  for i = 0 to full - 1 do
-    let m = word64_le msg (pos + (8 * i)) in
-    s.v3 <- Int64.logxor s.v3 m;
-    sipround s;
-    sipround s;
-    s.v0 <- Int64.logxor s.v0 m
-  done;
-  (* final block: remaining bytes plus the length in the top byte *)
-  let last = ref (Int64.shift_left (Int64.of_int (n land 0xFF)) 56) in
-  for i = 0 to (n mod 8) - 1 do
+  let k0 = get_le64 key 0 and k1 = get_le64 key 8 in
+  let v0 = ref (Int64.logxor 0x736f6d6570736575L k0) in
+  let v1 = ref (Int64.logxor 0x646f72616e646f6dL k1) in
+  let v2 = ref (Int64.logxor 0x6c7967656e657261L k0) in
+  let v3 = ref (Int64.logxor 0x7465646279746573L k1) in
+  let full = len / 8 in
+  (* final word: the remaining bytes plus the length in the top byte *)
+  let last = ref (Int64.shift_left (Int64.of_int (len land 0xFF)) 56) in
+  for i = 0 to (len land 7) - 1 do
     last :=
       Int64.logor !last
         (Int64.shift_left
-           (Int64.of_int (Char.code msg.[pos + (8 * full) + i]))
+           (Int64.of_int (Char.code (String.unsafe_get msg (pos + (8 * full) + i))))
            (8 * i))
   done;
-  s.v3 <- Int64.logxor s.v3 !last;
-  sipround s;
-  sipround s;
-  s.v0 <- Int64.logxor s.v0 !last;
-  s.v2 <- Int64.logxor s.v2 0xFFL;
-  sipround s;
-  sipround s;
-  sipround s;
-  sipround s;
-  Int64.logxor (Int64.logxor s.v0 s.v1) (Int64.logxor s.v2 s.v3)
+  for blk = 0 to full + 1 do
+    let m =
+      if blk < full then get_le64 msg (pos + (8 * blk))
+      else if blk = full then !last
+      else 0L
+    in
+    if blk <= full then v3 := Int64.logxor !v3 m
+    else v2 := Int64.logxor !v2 0xFFL;
+    for _ = 1 to (if blk <= full then 2 else 4) do
+      v0 := Int64.add !v0 !v1;
+      v1 := rotl !v1 13;
+      v1 := Int64.logxor !v1 !v0;
+      v0 := rotl !v0 32;
+      v2 := Int64.add !v2 !v3;
+      v3 := rotl !v3 16;
+      v3 := Int64.logxor !v3 !v2;
+      v0 := Int64.add !v0 !v3;
+      v3 := rotl !v3 21;
+      v3 := Int64.logxor !v3 !v0;
+      v2 := Int64.add !v2 !v1;
+      v1 := rotl !v1 17;
+      v1 := Int64.logxor !v1 !v2;
+      v2 := rotl !v2 32
+    done;
+    v0 := Int64.logxor !v0 m
+  done;
+  Int64.logxor (Int64.logxor !v0 !v1) (Int64.logxor !v2 !v3)
 
 let hash ~key msg = hash_sub ~key msg ~pos:0 ~len:(String.length msg)
 
 let tag_into ~key msg ~pos ~len dst dpos =
-  let h = hash_sub ~key msg ~pos ~len in
-  for i = 0 to 7 do
-    Bytes.set dst (dpos + i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical h (8 * i)) land 0xFF))
-  done
+  Bytes.set_int64_le dst dpos (hash_sub ~key msg ~pos ~len)
 
 let tag ~key msg =
-  let h = hash ~key msg in
-  String.init 8 (fun i ->
-      Char.chr (Int64.to_int (Int64.shift_right_logical h (8 * i)) land 0xFF))
+  let b = Bytes.create 8 in
+  tag_into ~key msg ~pos:0 ~len:(String.length msg) b 0;
+  Bytes.unsafe_to_string b

@@ -41,123 +41,109 @@ type down_req = Bitkit.Wirebuf.t
 type down_ind = Bitkit.Slice.t
 type timer = Nothing.t
 
-let le64 v = String.init 8 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF))
-let le16 v = String.init 2 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF))
+(* One record is laid out in [b] at [off] as
+   [le16 port][le64 seq][ciphertext][tag]: the plaintext is emitted once
+   into place, encrypted by in-place keystream XOR, and the SipHash tag
+   over the first [10 + n] bytes (port, seq, ciphertext — contiguous, so
+   the MAC reads the buffer in place) lands right after them. The record
+   the peer sees is the buffer minus its 2-byte port prefix. The ChaCha20
+   nonce is RFC 8439 §2.8's [fixed || iv] with the sender's port as the
+   fixed part and its sequence number as the IV, so the two directions
+   of a connection never share a nonce under one key. *)
+let seal_into t pdu b off ~n =
+  let seq = t.seq and port = t.local_port land 0xFFFF in
+  Bytes.set_uint16_le b off port;
+  Bytes.set_int64_le b (off + 2) (Int64.of_int seq);
+  Bitkit.Wirebuf.emit_into pdu b (off + 10);
+  Bitkit.Chacha20.xor_iv_into ~key:t.key ~fixed:port ~iv:seq b ~pos:(off + 10)
+    ~len:n;
+  (* The tag lands past the hashed region, so reading the buffer through
+     an alias while writing there is sound. *)
+  Bitkit.Siphash.tag_into ~key:t.mac_key (Bytes.unsafe_to_string b) ~pos:off
+    ~len:(10 + n) b (off + 10 + n)
 
-let nonce ~port ~seq = le16 port ^ "\000\000" ^ le64 seq
-
-let read_le64 s off =
-  let b i = Char.code s.[off + i] in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) lor (b 4 lsl 32)
-  lor (b 5 lsl 40) lor (b 6 lsl 48) lor (b 7 lsl 56)
-
-let tag_input ~port ~seq ciphertext = le16 port ^ le64 seq ^ ciphertext
-
-let seal t pdu =
-  let seq = t.seq in
-  let ciphertext =
-    Bitkit.Chacha20.encrypt ~key:t.key ~nonce:(nonce ~port:t.local_port ~seq) pdu
+(* Seal one PDU into a loaned pool slot when there is a pool with room,
+   else into a fresh heap buffer — the same bytes either way. A loan is
+   consumed by DM's emit within this same event, so it is
+   deferred-released immediately. *)
+let seal_record t pdu =
+  let n = Bitkit.Wirebuf.emit_cost pdu in
+  let total = 2 + 8 + n + 8 in
+  let on_heap () =
+    let b = Bytes.create total in
+    seal_into t pdu b 0 ~n;
+    Bitkit.Slice.make (Bytes.unsafe_to_string b) ~off:2 ~len:(total - 2)
   in
-  let tag =
-    Bitkit.Siphash.tag ~key:t.mac_key (tag_input ~port:t.local_port ~seq ciphertext)
+  let record =
+    match t.pool with
+    | None -> on_heap ()
+    | Some pool ->
+        let slot = Bitkit.Pool.loan pool ~len:total in
+        if slot = Bitkit.Pool.no_slot then on_heap ()
+        else begin
+          seal_into t pdu (Bitkit.Pool.buffer pool) (Bitkit.Pool.off pool slot) ~n;
+          Bitkit.Pool.defer_release pool slot;
+          Bitkit.Slice.sub (Bitkit.Pool.slice pool slot ~len:total) ~pos:2
+            ~len:(total - 2)
+        end
   in
   Sublayer.Stats.incr t.c_sent;
-  ({ t with seq = seq + 1 }, le64 seq ^ ciphertext ^ tag)
+  Sublayer.Stats.add t.c_copied_seal n;
+  ({ t with seq = t.seq + 1 }, record)
 
-(* A record too short to carry a tag fails authentication like a forged
-   one. *)
-let open_ t record =
-  let n = String.length record in
+(* The record is copied once, behind the receiver's view of the
+   sender's port, as [le16 port][seq][ciphertext][tag]: the MAC runs
+   over that buffer in place and, only if the tag matches, the
+   ciphertext is decrypted in place and returned as a view. A record
+   too short to carry a tag fails authentication like a forged one. *)
+let open_record t record =
+  let n = Bitkit.Slice.length record in
   if n < 16 then begin
     Sublayer.Stats.incr t.c_failures;
     None
   end
   else begin
-    let seq = read_le64 record 0 in
-    let ciphertext = String.sub record 8 (n - 16) in
-    let tag = String.sub record (n - 8) 8 in
-    let expected =
-      Bitkit.Siphash.tag ~key:t.mac_key (tag_input ~port:t.remote_port ~seq ciphertext)
-    in
-    if not (String.equal tag expected) then begin
+    let port = t.remote_port land 0xFFFF in
+    let b = Bytes.create (2 + n) in
+    Bytes.set_uint16_le b 0 port;
+    Bitkit.Slice.blit record b 2;
+    let s = Bytes.unsafe_to_string b in
+    let tag = Bitkit.Siphash.hash_sub ~key:t.mac_key s ~pos:0 ~len:(n - 6) in
+    if not (Int64.equal tag (String.get_int64_le s (n - 6))) then begin
       Sublayer.Stats.incr t.c_failures;
       None
     end
-    else
-      Some
-        (Bitkit.Chacha20.encrypt ~key:t.key ~nonce:(nonce ~port:t.remote_port ~seq)
-           ciphertext)
+    else begin
+      let seq = Int64.to_int (String.get_int64_le s 2) in
+      Bitkit.Chacha20.xor_iv_into ~key:t.key ~fixed:port ~iv:seq b ~pos:10
+        ~len:(n - 16);
+      Some (Bitkit.Slice.make s ~off:10 ~len:(n - 16))
+    end
   end
 
-(* Seal into a loaned slot, laid out as
-   [le16 port][le64 seq][ciphertext][tag]: the first 10 + n bytes are
-   exactly [tag_input], contiguous, so the MAC runs over the arena in
-   place; encryption XORs the emitted plaintext in place; the record the
-   peer sees is the slot minus its 2-byte port prefix. No intermediate
-   flat string exists (the cipher's per-block keystream strings still
-   allocate). The loan is consumed by DM's emit within this same event,
-   so it is deferred-released immediately. *)
-let seal_pooled t pool pdu =
-  let n = Bitkit.Wirebuf.emit_cost pdu in
-  let total = 2 + 8 + n + 8 in
-  let slot = Bitkit.Pool.loan pool ~len:total in
-  if slot = Bitkit.Pool.no_slot then None
-  else begin
-    let b = Bitkit.Pool.buffer pool in
-    let off = Bitkit.Pool.off pool slot in
-    let seq = t.seq in
-    let port = t.local_port in
-    Bytes.set b off (Char.chr (port land 0xFF));
-    Bytes.set b (off + 1) (Char.chr ((port lsr 8) land 0xFF));
-    for i = 0 to 7 do
-      Bytes.set b (off + 2 + i) (Char.chr ((seq lsr (8 * i)) land 0xFF))
-    done;
-    Bitkit.Wirebuf.emit_into pdu b (off + 10);
-    Bitkit.Chacha20.xor_into ~key:t.key ~nonce:(nonce ~port ~seq) b
-      ~pos:(off + 10) ~len:n;
-    (* The tag lands past the hashed region, so reading the arena through
-       an alias while writing there is sound. *)
-    Bitkit.Siphash.tag_into ~key:t.mac_key (Bytes.unsafe_to_string b) ~pos:off
-      ~len:(10 + n) b
-      (off + 10 + n);
-    Sublayer.Stats.incr t.c_sent;
-    Sublayer.Stats.add t.c_copied_seal n;
-    Bitkit.Pool.defer_release pool slot;
-    let record =
-      Bitkit.Slice.sub (Bitkit.Pool.slice pool slot ~len:total) ~pos:2
-        ~len:(total - 2)
-    in
-    Some ({ t with seq = seq + 1 }, record)
-  end
+let seal t pdu =
+  let t, record = seal_record t (Bitkit.Wirebuf.of_string pdu) in
+  (t, Bitkit.Slice.to_string record)
+
+let open_ t record =
+  Option.map Bitkit.Slice.to_string (open_record t (Bitkit.Slice.of_string record))
 
 (* Encryption transforms every byte, so this sublayer is a forced
-   materialisation point either way: the accumulated wirebuf is emitted,
-   sealed, and re-wrapped as the payload of a fresh wirebuf for DM. *)
+   materialisation point: the accumulated wirebuf is emitted once into
+   the record buffer and re-wrapped as the payload of a fresh wirebuf
+   for DM. *)
 let handle_up_req t pdu =
-  let pooled =
-    match t.pool with None -> None | Some pool -> seal_pooled t pool pdu
-  in
-  match pooled with
-  | Some (t, record) ->
-      Sublayer.Span.instant t.sp
-        ~detail:(Printf.sprintf "seq=%d" (t.seq - 1)) "seal";
-      (t, [ Down (Bitkit.Wirebuf.of_slice record) ])
-  | None ->
-      (* Sealing forces the wirebuf out; charge the known emit size
-         directly — bracketing the process-global counter would
-         over-count copies other shards make concurrently. *)
-      Sublayer.Stats.add t.c_copied_seal (Bitkit.Wirebuf.copy_cost pdu);
-      let plain = Bitkit.Wirebuf.to_string pdu in
-      let t, record = seal t plain in
-      Sublayer.Span.instant t.sp
-        ~detail:(Printf.sprintf "seq=%d" (t.seq - 1)) "seal";
-      (t, [ Down (Bitkit.Wirebuf.of_string record) ])
+  let t, record = seal_record t pdu in
+  if Sublayer.Span.active t.sp then
+    Sublayer.Span.instant t.sp
+      ~detail:(Printf.sprintf "seq=%d" (t.seq - 1)) "seal";
+  (t, [ Down (Bitkit.Wirebuf.of_slice record) ])
 
 let handle_down_ind t record =
-  match open_ t (Bitkit.Slice.to_string record) with
+  match open_record t record with
   | Some pdu ->
       Sublayer.Span.instant t.sp "open";
-      (t, [ Up (Bitkit.Slice.of_string pdu) ])
+      (t, [ Up pdu ])
   | None ->
       Sublayer.Span.instant t.sp "auth_fail";
       (t, [])

@@ -38,21 +38,25 @@ val initial :
     [span] is given, instant [seal]/[open]/[auth_fail] markers record
     each record.
 
-    When [pool] is given, records are sealed in place inside a loaned
-    arena slot — the plaintext is emitted once into the slot, encrypted
-    by in-place keystream XOR and tagged over the arena, with no
-    intermediate flat strings (overruns fall back to the heap path,
-    bit-identical on the wire). *)
+    Every record is sealed in place in one buffer laid out as
+    [port:16 | seq:64 | ciphertext | tag:64]: the plaintext is emitted
+    once, encrypted by in-place keystream XOR and tagged over the
+    buffer, and the wire record is the buffer past its port prefix.
+    When [pool] is given the buffer is a loaned arena slot; without one,
+    or when the pool has no room, it is a fresh heap buffer — the same
+    code and the same bytes either way. *)
 
 val records_sent : t -> int
 val auth_failures : t -> int
 
 val seal : t -> string -> t * string
-(** Encrypt-and-authenticate one PDU (exposed for unit tests). *)
+(** Encrypt-and-authenticate one PDU through the machine's seal (exposed
+    for unit tests). *)
 
 val open_ : t -> string -> string option
-(** Verify-and-decrypt one record; [None] if forged, damaged or too
-    short, counted in [auth_failures]. *)
+(** Verify-and-decrypt one record through the machine's open; [None] if
+    forged, damaged or too short, counted in [auth_failures]. The record
+    is copied once, authenticated in place and decrypted in place. *)
 
 include
   Sublayer.Machine.S

@@ -230,6 +230,339 @@ let prop_siphash_avalanche =
       Bytes.set flipped 0 (Char.chr (Char.code s.[0] lxor 1));
       Siphash.hash ~key s <> Siphash.hash ~key (Bytes.to_string flipped))
 
+(* --- Chacha20 / Siphash against the reference kernels ---
+
+   The two modules below are the straightforward kernels the optimised
+   ones replaced, kept verbatim as a differential oracle: tuple quarter
+   rounds, a fresh state and keystream string per 64-byte block, and a
+   SipHash state in a record of mutable [int64]s. *)
+
+module Oracle_chacha20 = struct
+  let mask = 0xFFFFFFFF
+
+  let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
+
+  let quarter_round (a, b, c, d) =
+    let a = (a + b) land mask in
+    let d = rotl (d lxor a) 16 in
+    let c = (c + d) land mask in
+    let b = rotl (b lxor c) 12 in
+    let a = (a + b) land mask in
+    let d = rotl (d lxor a) 8 in
+    let c = (c + d) land mask in
+    let b = rotl (b lxor c) 7 in
+    (a, b, c, d)
+
+  let word32_le s off =
+    Char.code s.[off]
+    lor (Char.code s.[off + 1] lsl 8)
+    lor (Char.code s.[off + 2] lsl 16)
+    lor (Char.code s.[off + 3] lsl 24)
+
+  let qr st a b c d =
+    let xa, xb, xc, xd = quarter_round (st.(a), st.(b), st.(c), st.(d)) in
+    st.(a) <- xa;
+    st.(b) <- xb;
+    st.(c) <- xc;
+    st.(d) <- xd
+
+  let block ~key ~counter ~nonce =
+    if String.length key <> 32 then invalid_arg "Chacha20: key must be 32 bytes";
+    if String.length nonce <> 12 then invalid_arg "Chacha20: nonce must be 12 bytes";
+    let init = Array.make 16 0 in
+    init.(0) <- 0x61707865;
+    init.(1) <- 0x3320646e;
+    init.(2) <- 0x79622d32;
+    init.(3) <- 0x6b206574;
+    for i = 0 to 7 do
+      init.(4 + i) <- word32_le key (4 * i)
+    done;
+    init.(12) <- counter land mask;
+    for i = 0 to 2 do
+      init.(13 + i) <- word32_le nonce (4 * i)
+    done;
+    let st = Array.copy init in
+    for _ = 1 to 10 do
+      (* column rounds *)
+      qr st 0 4 8 12;
+      qr st 1 5 9 13;
+      qr st 2 6 10 14;
+      qr st 3 7 11 15;
+      (* diagonal rounds *)
+      qr st 0 5 10 15;
+      qr st 1 6 11 12;
+      qr st 2 7 8 13;
+      qr st 3 4 9 14
+    done;
+    let out = Bytes.create 64 in
+    for i = 0 to 15 do
+      let w = (st.(i) + init.(i)) land mask in
+      Bytes.set out (4 * i) (Char.chr (w land 0xFF));
+      Bytes.set out ((4 * i) + 1) (Char.chr ((w lsr 8) land 0xFF));
+      Bytes.set out ((4 * i) + 2) (Char.chr ((w lsr 16) land 0xFF));
+      Bytes.set out ((4 * i) + 3) (Char.chr ((w lsr 24) land 0xFF))
+    done;
+    Bytes.to_string out
+
+  (* In-place keystream XOR over a region of [b]: the pooled seal path,
+     where the plaintext was already emitted into an arena slot and the
+     ciphertext replaces it without a fresh buffer. The per-block keystream
+     strings still allocate; eliminating those would mean threading scratch
+     state through the cipher core, which E27 reports honestly instead. *)
+  let xor_into ~key ?(counter = 1) ~nonce b ~pos ~len =
+    let i = ref 0 in
+    let blk = ref counter in
+    while !i < len do
+      let ks = block ~key ~counter:!blk ~nonce in
+      let chunk = min 64 (len - !i) in
+      for j = 0 to chunk - 1 do
+        Bytes.set b (pos + !i + j)
+          (Char.chr (Char.code (Bytes.get b (pos + !i + j)) lxor Char.code ks.[j]))
+      done;
+      i := !i + chunk;
+      incr blk
+    done
+
+  let encrypt ~key ?(counter = 1) ~nonce plaintext =
+    let n = String.length plaintext in
+    let out = Bytes.create n in
+    let i = ref 0 in
+    let blk = ref counter in
+    while !i < n do
+      let ks = block ~key ~counter:!blk ~nonce in
+      let chunk = min 64 (n - !i) in
+      for j = 0 to chunk - 1 do
+        Bytes.set out (!i + j)
+          (Char.chr (Char.code plaintext.[!i + j] lxor Char.code ks.[j]))
+      done;
+      i := !i + chunk;
+      incr blk
+    done;
+    Bytes.to_string out
+end
+
+module Oracle_siphash = struct
+  let rotl x n = Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
+
+  let word64_le s off =
+    let b i = Int64.of_int (Char.code s.[off + i]) in
+    let ( ||| ) = Int64.logor in
+    b 0
+    ||| Int64.shift_left (b 1) 8
+    ||| Int64.shift_left (b 2) 16
+    ||| Int64.shift_left (b 3) 24
+    ||| Int64.shift_left (b 4) 32
+    ||| Int64.shift_left (b 5) 40
+    ||| Int64.shift_left (b 6) 48
+    ||| Int64.shift_left (b 7) 56
+
+  type state = { mutable v0 : int64; mutable v1 : int64; mutable v2 : int64; mutable v3 : int64 }
+
+  let sipround s =
+    s.v0 <- Int64.add s.v0 s.v1;
+    s.v1 <- rotl s.v1 13;
+    s.v1 <- Int64.logxor s.v1 s.v0;
+    s.v0 <- rotl s.v0 32;
+    s.v2 <- Int64.add s.v2 s.v3;
+    s.v3 <- rotl s.v3 16;
+    s.v3 <- Int64.logxor s.v3 s.v2;
+    s.v0 <- Int64.add s.v0 s.v3;
+    s.v3 <- rotl s.v3 21;
+    s.v3 <- Int64.logxor s.v3 s.v0;
+    s.v2 <- Int64.add s.v2 s.v1;
+    s.v1 <- rotl s.v1 17;
+    s.v1 <- Int64.logxor s.v1 s.v2;
+    s.v2 <- rotl s.v2 32
+
+  let hash_sub ~key msg ~pos ~len =
+    if String.length key <> 16 then invalid_arg "Siphash: key must be 16 bytes";
+    if pos < 0 || len < 0 || pos + len > String.length msg then
+      invalid_arg "Siphash.hash_sub";
+    let k0 = word64_le key 0 and k1 = word64_le key 8 in
+    let s =
+      { v0 = Int64.logxor 0x736f6d6570736575L k0;
+        v1 = Int64.logxor 0x646f72616e646f6dL k1;
+        v2 = Int64.logxor 0x6c7967656e657261L k0;
+        v3 = Int64.logxor 0x7465646279746573L k1 }
+    in
+    let n = len in
+    let full = n / 8 in
+    for i = 0 to full - 1 do
+      let m = word64_le msg (pos + (8 * i)) in
+      s.v3 <- Int64.logxor s.v3 m;
+      sipround s;
+      sipround s;
+      s.v0 <- Int64.logxor s.v0 m
+    done;
+    (* final block: remaining bytes plus the length in the top byte *)
+    let last = ref (Int64.shift_left (Int64.of_int (n land 0xFF)) 56) in
+    for i = 0 to (n mod 8) - 1 do
+      last :=
+        Int64.logor !last
+          (Int64.shift_left
+             (Int64.of_int (Char.code msg.[pos + (8 * full) + i]))
+             (8 * i))
+    done;
+    s.v3 <- Int64.logxor s.v3 !last;
+    sipround s;
+    sipround s;
+    s.v0 <- Int64.logxor s.v0 !last;
+    s.v2 <- Int64.logxor s.v2 0xFFL;
+    sipround s;
+    sipround s;
+    sipround s;
+    sipround s;
+    Int64.logxor (Int64.logxor s.v0 s.v1) (Int64.logxor s.v2 s.v3)
+
+  let hash ~key msg = hash_sub ~key msg ~pos:0 ~len:(String.length msg)
+
+  let tag_into ~key msg ~pos ~len dst dpos =
+    let h = hash_sub ~key msg ~pos ~len in
+    for i = 0 to 7 do
+      Bytes.set dst (dpos + i)
+        (Char.chr (Int64.to_int (Int64.shift_right_logical h (8 * i)) land 0xFF))
+    done
+
+  let tag ~key msg =
+    let h = hash ~key msg in
+    String.init 8 (fun i ->
+        Char.chr (Int64.to_int (Int64.shift_right_logical h (8 * i)) land 0xFF))
+end
+
+let rand = Random.State.make [| 15 |]
+let rand_string n = String.init n (fun _ -> Char.chr (Random.State.int rand 256))
+
+(* Counters near 2^32 exercise the per-block 32-bit wrap. *)
+let rand_counter () =
+  match Random.State.int rand 3 with
+  | 0 -> Random.State.int rand 4
+  | 1 -> 0xFFFFFFFF - Random.State.int rand 4
+  | _ -> Random.State.bits rand land 0xFFFFFFFF
+
+let test_chacha_encrypt_oracle () =
+  (* every length 0..3000, so every tail length 0..63 many times over *)
+  for len = 0 to 3000 do
+    let key = rand_string 32 and nonce = rand_string 12 in
+    let counter = rand_counter () in
+    let msg = rand_string len in
+    let want = Oracle_chacha20.encrypt ~key ~counter ~nonce msg in
+    let got = Chacha20.encrypt ~key ~counter ~nonce msg in
+    if got <> want then Alcotest.failf "encrypt differs at length %d" len
+  done
+
+let test_chacha_block_oracle () =
+  for i = 1 to 300 do
+    let key = rand_string 32 and nonce = rand_string 12 in
+    let counter = rand_counter () in
+    if Chacha20.block ~key ~counter ~nonce
+       <> Oracle_chacha20.block ~key ~counter ~nonce
+    then Alcotest.failf "block differs on trial %d" i
+  done
+
+let test_chacha_xor_into_oracle () =
+  for i = 0 to 600 do
+    let key = rand_string 32 and nonce = rand_string 12 in
+    let counter = rand_counter () in
+    (* lengths 0..63 first (every tail), then random up to 3000 *)
+    let len = if i < 64 then i else Random.State.int rand 3001 in
+    let pos = 1 + Random.State.int rand 40 in
+    let buf = Bytes.of_string (rand_string (pos + len + Random.State.int rand 9)) in
+    let want = Bytes.copy buf in
+    Chacha20.xor_into ~key ~counter ~nonce buf ~pos ~len;
+    Oracle_chacha20.xor_into ~key ~counter ~nonce want ~pos ~len;
+    if buf <> want then
+      Alcotest.failf "xor_into differs at pos %d len %d" pos len
+  done
+
+let test_chacha_xor_iv_into () =
+  for i = 0 to 200 do
+    let key = rand_string 32 in
+    let fixed = Random.State.bits rand land 0xFFFF in
+    let iv = Random.State.bits rand lor (Random.State.bits rand lsl 30) in
+    let le n v = String.init n (fun j -> Char.chr ((v lsr (8 * j)) land 0xFF)) in
+    let nonce = le 4 fixed ^ le 8 iv in
+    let len = if i < 64 then i else Random.State.int rand 2000 in
+    let a = Bytes.of_string (rand_string (len + 3)) in
+    let b = Bytes.copy a in
+    Chacha20.xor_into ~key ~nonce a ~pos:3 ~len;
+    Chacha20.xor_iv_into ~key ~fixed ~iv b ~pos:3 ~len;
+    if a <> b then Alcotest.failf "xor_iv_into differs at len %d" len
+  done
+
+let test_siphash_sub_oracle () =
+  let key = rand_string 16 in
+  for i = 0 to 600 do
+    let len = if i < 64 then i else Random.State.int rand 3001 in
+    let pos = Random.State.int rand 40 in
+    let msg = rand_string (pos + len + Random.State.int rand 9) in
+    let want = Oracle_siphash.hash ~key (String.sub msg pos len) in
+    if Siphash.hash_sub ~key msg ~pos ~len <> want then
+      Alcotest.failf "hash_sub differs at pos %d len %d" pos len
+  done
+
+let test_siphash_tag_oracle () =
+  for i = 0 to 100 do
+    let key = rand_string 16 and msg = rand_string i in
+    check Alcotest.string "tag" (Oracle_siphash.tag ~key msg) (Siphash.tag ~key msg);
+    let pos = min 1 i in
+    let a = Bytes.make 12 '.' in
+    let b = Bytes.copy a in
+    Siphash.tag_into ~key msg ~pos ~len:(i - pos) a 3;
+    Oracle_siphash.tag_into ~key msg ~pos ~len:(i - pos) b 3;
+    check Alcotest.bytes "tag_into" b a
+  done
+
+let test_kernel_bounds () =
+  let key = String.make 32 'k' and nonce = String.make 12 'n' in
+  let buf = Bytes.make 16 'x' in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "xor_into pos %d len %d" pos len)
+        (Invalid_argument "Chacha20.xor_into")
+        (fun () -> Chacha20.xor_into ~key ~nonce buf ~pos ~len);
+      Alcotest.check_raises
+        (Printf.sprintf "xor_iv_into pos %d len %d" pos len)
+        (Invalid_argument "Chacha20.xor_iv_into")
+        (fun () -> Chacha20.xor_iv_into ~key ~fixed:1 ~iv:2 buf ~pos ~len);
+      Alcotest.check_raises
+        (Printf.sprintf "hash_sub pos %d len %d" pos len)
+        (Invalid_argument "Siphash.hash_sub")
+        (fun () ->
+          ignore
+            (Siphash.hash_sub ~key:(String.make 16 'k') (Bytes.to_string buf)
+               ~pos ~len)))
+    [ (-1, 4); (0, -1); (13, 4); (0, 17); (17, 0); (max_int, 2) ];
+  check Alcotest.string "rejected calls leave the buffer untouched"
+    (String.make 16 'x') (Bytes.to_string buf)
+
+(* The kernels' only allocation is per call (ChaCha20's 16-word state,
+   SipHash's boxed result): the words a call allocates must be small and
+   the same at 64 B as at 4 KiB. *)
+let words_of f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  let after = Gc.minor_words () in
+  int_of_float (after -. before)
+
+let test_kernels_allocation_bounded () =
+  let key = String.make 32 'k' and nonce = String.make 12 'n' in
+  let skey = String.make 16 's' in
+  let buf = Bytes.make 4096 'p' in
+  let msg = String.make 4096 'm' in
+  let xor len () = Chacha20.xor_into ~key ~nonce buf ~pos:0 ~len in
+  let sip len () = ignore (Sys.opaque_identity (Siphash.hash_sub ~key:skey msg ~pos:0 ~len)) in
+  List.iter
+    (fun (name, f) ->
+      let small = words_of (f 64) and large = words_of (f 4096) in
+      check Alcotest.bool
+        (Printf.sprintf "%s allocates <= 48 words (%d at 64 B, %d at 4 KiB)" name
+           small large)
+        true
+        (large <= 48 && large = small))
+    [ ("Chacha20.xor_into", xor); ("Siphash.hash_sub", sip) ]
+
 (* --- Rng --- *)
 
 let test_rng_deterministic () =
@@ -324,6 +657,21 @@ let () =
           prop_chacha_key_sensitivity;
           Alcotest.test_case "siphash vectors" `Quick test_siphash_vectors;
           prop_siphash_avalanche;
+          Alcotest.test_case "chacha encrypt = reference" `Quick
+            test_chacha_encrypt_oracle;
+          Alcotest.test_case "chacha block = reference" `Quick
+            test_chacha_block_oracle;
+          Alcotest.test_case "chacha xor_into = reference" `Quick
+            test_chacha_xor_into_oracle;
+          Alcotest.test_case "chacha xor_iv_into = xor_into" `Quick
+            test_chacha_xor_iv_into;
+          Alcotest.test_case "siphash hash_sub = reference" `Quick
+            test_siphash_sub_oracle;
+          Alcotest.test_case "siphash tag/tag_into = reference" `Quick
+            test_siphash_tag_oracle;
+          Alcotest.test_case "kernel range checks" `Quick test_kernel_bounds;
+          Alcotest.test_case "kernel allocation bounded" `Quick
+            test_kernels_allocation_bounded;
         ] );
       ( "rng",
         [

@@ -1140,6 +1140,87 @@ let test_rec_wrong_key_and_direction () =
   check Alcotest.(option string) "reflected record" None (Rec.open_ a' record);
   check Alcotest.(option string) "truncated" None (Rec.open_ a' "short")
 
+(* Golden wire records: ten records (seq 0-9) of each size under a fixed
+   key and ports, hashed together. The digest was taken from the
+   string-concatenation sealer this sublayer used before records were
+   laid out in place, so any change to a record's bytes fails here. *)
+let golden_key = String.init 32 (fun i -> Char.chr (((i * 29) + 3) land 0xFF))
+let golden_sizes = [ 0; 1; 63; 64; 65; 1000; 1460 ]
+
+let golden_payload ~size ~seq =
+  String.init size (fun i -> Char.chr (((i * 31) + (seq * 7) + size) land 0xFF))
+
+let golden_digest = "60281b5198a601eff1901c832fc90ce9"
+
+let golden_records ?pool seal =
+  List.concat_map
+    (fun size ->
+      let r =
+        ref (Rec.initial ?pool ~key:golden_key ~local_port:4242 ~remote_port:80 ())
+      in
+      List.init 10 (fun seq ->
+          let t, record = seal !r (golden_payload ~size ~seq) in
+          r := t;
+          (size, seq, record)))
+    golden_sizes
+
+let digest_records records =
+  Digest.to_hex
+    (Digest.string (String.concat "" (List.map (fun (_, _, r) -> r) records)))
+
+let test_rec_golden_records () =
+  let records = golden_records Rec.seal in
+  check Alcotest.string "heap seal digest" golden_digest (digest_records records);
+  (* The machine's pooled seal lays the same bytes out in an arena slot. *)
+  let pool = Bitkit.Pool.create ~slots:2 ~slot_bytes:2048 () in
+  let pooled =
+    golden_records ~pool (fun r payload ->
+        match Rec.handle_up_req r (Bitkit.Wirebuf.of_string payload) with
+        | t, [ Sublayer.Machine.Down w ] ->
+            let record = Bitkit.Wirebuf.to_string w in
+            Bitkit.Pool.drain_deferred pool;
+            (t, record)
+        | _ -> Alcotest.fail "rec did not emit one record")
+  in
+  check Alcotest.string "pooled seal digest" golden_digest (digest_records pooled);
+  check Alcotest.int "records sealed in the pool" 70 (Bitkit.Pool.loans pool);
+  let rx = Rec.initial ~key:golden_key ~local_port:80 ~remote_port:4242 () in
+  List.iter
+    (fun (size, seq, record) ->
+      check Alcotest.(option string)
+        (Printf.sprintf "record size %d seq %d opens" size seq)
+        (Some (golden_payload ~size ~seq))
+        (Rec.open_ rx record))
+    records;
+  check Alcotest.int "no failures on genuine records" 0 (Rec.auth_failures rx);
+  (* Forged, reflected, wrong-key and truncated records of every size are
+     refused, and each refusal is counted. *)
+  let tx = Rec.initial ~key:golden_key ~local_port:4242 ~remote_port:80 () in
+  let wrong = Rec.initial ~key:(String.make 32 'x') ~local_port:80 ~remote_port:4242 () in
+  List.iter
+    (fun (size, seq, record) ->
+      let n = String.length record in
+      let flip i =
+        String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x80) else c) record
+      in
+      let refused name r record =
+        let before = Rec.auth_failures r in
+        check Alcotest.(option string)
+          (Printf.sprintf "%s size %d seq %d" name size seq)
+          None (Rec.open_ r record);
+        check Alcotest.int
+          (Printf.sprintf "%s size %d seq %d counted" name size seq)
+          (before + 1) (Rec.auth_failures r)
+      in
+      refused "forged seq" rx (flip 7);
+      refused "forged body" rx (flip (n / 2));
+      refused "forged tag" rx (flip (n - 1));
+      refused "reflected" tx record;
+      refused "wrong key" wrong record;
+      refused "truncated" rx (String.sub record 0 (n - 1));
+      refused "too short" rx (String.sub record 0 (min 15 n)))
+    records
+
 let secure_pair ?(channel = Sim.Channel.ideal) ?key_b ~seed () =
   let engine = Sim.Engine.create ~seed () in
   let fa = Tcp_secure.factory ~key:Tcp_secure.demo_key in
@@ -1446,6 +1527,7 @@ let () =
           Alcotest.test_case "seal/open" `Quick test_rec_seal_open;
           Alcotest.test_case "tamper rejected" `Quick test_rec_tamper_rejected;
           Alcotest.test_case "wrong key / direction" `Quick test_rec_wrong_key_and_direction;
+          Alcotest.test_case "golden wire records" `Quick test_rec_golden_records;
           Alcotest.test_case "e2e corruption, no guard" `Quick test_secure_e2e_corruption_no_guard;
           Alcotest.test_case "key mismatch refuses" `Quick test_secure_wrong_key_no_connection;
           Alcotest.test_case "no plaintext on wire" `Quick test_secure_no_plaintext_on_wire;
